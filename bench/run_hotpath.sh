@@ -30,9 +30,7 @@
 # hot spot is rendered with `spio_heatmap`. It also runs
 # the SIMD differential suite under both dispatch paths (`ctest -L simd`
 # twice, the second with SPIO_SIMD=off forcing the scalar fallback), the
-# query-planner differential suite under both planners (`ctest -L
-# planner` twice, the second with SPIO_PLAN=linear forcing the
-# linear-scan oracle),
+# query-planner differential suite (`ctest -L planner`),
 # exercises the live-telemetry path (the serve run streams
 # stats.spio.jsonl via SPIO_STATS; the stream is validated with
 # `spio_trace --check` and rendered with `spio_top --replay`), then runs
@@ -100,16 +98,12 @@ echo "== simd: differential suite, native dispatch =="
 echo "== simd: differential suite, SPIO_SIMD=off scalar fallback =="
 (cd "$REPO_ROOT/$BUILD_DIR" && SPIO_SIMD=off ctest -L simd --output-on-failure)
 
-# Planner correctness gate, same shape: the query-planning differential
-# suite (pruned plans vs the linear-scan oracle, byte-identical results)
-# under the default pruned planner, then again with SPIO_PLAN=linear
-# forcing every Dataset onto the oracle path — the readpath
-# amplification and planning rows above are only meaningful if both
-# planners produce identical bytes.
+# Planner correctness gate: the query-planning differential suite
+# (pruned plans vs a serial oracle over the linear-scan reference plan,
+# byte-identical results) — the readpath amplification and planning
+# rows above are only meaningful if pruning never changes the bytes.
 echo "== planner: differential suite, pruned planner =="
 (cd "$REPO_ROOT/$BUILD_DIR" && ctest -L planner --output-on-failure)
-echo "== planner: differential suite, SPIO_PLAN=linear oracle path =="
-(cd "$REPO_ROOT/$BUILD_DIR" && SPIO_PLAN=linear ctest -L planner --output-on-failure)
 
 # Query-service baseline (BENCH_servepath.json): closed-loop Zipfian
 # hot-spot QPS at 1/4/16 clients plus the 16-client scaling factor

@@ -1,8 +1,6 @@
 #include "core/query_plan/planner.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "core/lod.hpp"
 #include "util/error.hpp"
@@ -27,12 +25,6 @@ std::uint64_t file_prefix_count(const DatasetMetadata& meta, int file_index,
                         meta.total_particles - 1;
   const auto share = static_cast<std::uint64_t>(num / meta.total_particles);
   return std::min(share, f.particle_count);
-}
-
-PlanMode plan_mode_from_env() {
-  const char* v = std::getenv("SPIO_PLAN");
-  return v != nullptr && std::strcmp(v, "linear") == 0 ? PlanMode::kLinear
-                                                       : PlanMode::kPruned;
 }
 
 namespace {
@@ -80,19 +72,9 @@ void check_plannable(const DatasetMetadata& meta) {
 
 }  // namespace
 
-std::vector<int> QueryPlanner::intersecting(const DatasetMetadata& meta,
-                                            const Box3& box) const {
-  check_plannable(meta);
-  if (mode_ == PlanMode::kLinear || tree_ == nullptr)
-    return meta.files_intersecting(box);
-  return tree_->query(box);
-}
-
 QueryPlan QueryPlanner::plan(const DatasetMetadata& meta, const Box3& box,
                              std::span<const RangeFilter> filters,
                              int levels, int n_readers) const {
-  if (mode_ == PlanMode::kLinear)
-    return plan_reference(meta, box, filters, levels, n_readers);
   check_plannable(meta);
 
   QueryPlan out;
@@ -156,7 +138,6 @@ QueryPlan QueryPlanner::plan_reference(const DatasetMetadata& meta,
                                        int levels, int n_readers) const {
   check_plannable(meta);
   QueryPlan out;
-  out.used_linear = true;
   if (!box.overlaps(meta.domain)) return out;
   const std::vector<int> candidates = meta.files_intersecting(box);
   out.files_considered = static_cast<int>(candidates.size());

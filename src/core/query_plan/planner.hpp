@@ -21,8 +21,9 @@
 ///
 /// `plan_reference` is the retained linear-scan planner: the exact
 /// pre-k-d, pre-zone behaviour, used as the differential oracle by
-/// `tests/core/query_plan_test.cpp` and as the fallback when the tree or
-/// sidecar is unavailable (`SPIO_PLAN=linear`, corrupt `zones.spio`).
+/// `tests/core/query_plan_test.cpp`. `plan` itself degrades when a piece
+/// is unavailable: no tree falls back to the linear bbox scan, and a
+/// missing or corrupt `zones.spio` to zone-free planning.
 
 #include <memory>
 #include <span>
@@ -60,17 +61,9 @@ struct QueryPlan {
   int files_skipped = 0;
   /// Bytes the zone tail-skips shaved off surviving files' prefixes.
   std::uint64_t lod_bytes_skipped = 0;
-  /// True when the linear-scan path produced this plan.
-  bool used_linear = false;
   /// True when zone maps pruned or clamped anything.
   bool zone_pruned = false;
 };
-
-enum class PlanMode : std::uint8_t { kPruned = 0, kLinear = 1 };
-
-/// `SPIO_PLAN=linear` forces the linear-scan planner process-wide (the
-/// bench fallback arm); anything else selects the pruned planner.
-PlanMode plan_mode_from_env();
 
 /// Immutable planning state of one open dataset. Methods take the
 /// metadata per call, so a copied `Dataset` never dangles; the tree and
@@ -78,21 +71,15 @@ PlanMode plan_mode_from_env();
 class QueryPlanner {
  public:
   QueryPlanner(std::shared_ptr<const BoxKdTree> tree,
-               std::shared_ptr<const ZoneMapTable> zones, PlanMode mode)
-      : tree_(std::move(tree)), zones_(std::move(zones)), mode_(mode) {}
+               std::shared_ptr<const ZoneMapTable> zones)
+      : tree_(std::move(tree)), zones_(std::move(zones)) {}
 
   const std::shared_ptr<const BoxKdTree>& tree() const { return tree_; }
   const ZoneMapTable* zones() const { return zones_.get(); }
-  PlanMode mode() const { return mode_; }
 
-  /// Files whose bounds intersect `box`, ascending — `files_intersecting`
-  /// semantics via the k-d tree when available. Requires bounds.
-  std::vector<int> intersecting(const DatasetMetadata& meta,
-                                const Box3& box) const;
-
-  /// Full pruned plan (or the linear plan under `PlanMode::kLinear`).
-  /// Requires bounds; a box disjoint from the domain yields an empty
-  /// plan with `files_considered == 0` — zero metadata work, zero opens.
+  /// Full pruned plan. Requires bounds; a box disjoint from the domain
+  /// yields an empty plan with `files_considered == 0` — zero metadata
+  /// work, zero opens.
   QueryPlan plan(const DatasetMetadata& meta, const Box3& box,
                  std::span<const RangeFilter> filters, int levels,
                  int n_readers) const;
@@ -107,7 +94,6 @@ class QueryPlanner {
  private:
   std::shared_ptr<const BoxKdTree> tree_;
   std::shared_ptr<const ZoneMapTable> zones_;
-  PlanMode mode_ = PlanMode::kPruned;
 };
 
 }  // namespace spio

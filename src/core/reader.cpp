@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <functional>
 #include <future>
-#include <optional>
 
 #include "core/journal.hpp"
 #include "core/read_engine.hpp"
@@ -81,8 +79,7 @@ Dataset::Dataset(std::filesystem::path dir, DatasetMetadata meta)
     }
   }
   planner_ = std::make_shared<QueryPlanner>(meta_.spatial_tree,
-                                            std::move(zones),
-                                            plan_mode_from_env());
+                                            std::move(zones));
   // Hand the partition layout to the spatial access profiler so every
   // fetch below can be attributed to its file's bbox always-on
   // (docs/OBSERVABILITY.md "Spatial access profiles").
@@ -112,12 +109,6 @@ Dataset Dataset::open(const std::filesystem::path& dir) {
     }
     throw;
   }
-}
-
-std::vector<int> Dataset::intersecting(const Box3& box) const {
-  // The planner raises the "no spatial metadata" error for bound-less
-  // datasets, exactly like the metadata's linear path it wraps.
-  return planner_->intersecting(meta_, box);
 }
 
 std::uint64_t Dataset::level_prefix_count(int file_index, int levels,
@@ -248,122 +239,129 @@ ParticleBuffer Dataset::read_data_file(int file_index, int levels,
   return buf;
 }
 
+void Dataset::for_each_prefix(
+    std::span<const FilePlan> files, std::size_t window, ReadStats* stats,
+    const std::function<bool(const FilePlan&, const FilePrefix&)>& consume)
+    const {
+  const std::size_t n = files.size();
+  ReadEngine& eng = ReadEngine::instance();
+  const bool pooled = n > 1 && eng.concurrency() > 1;
+  if (!pooled) window = 1;
+
+  // One slot per planned file; a fetch writes only its own slot, and the
+  // caller's thread reads it only after the fetch has resolved.
+  struct Slot {
+    FilePrefix prefix;
+    ReadStats stats;
+    std::exception_ptr error;
+    std::future<void> done;  // invalid when the fetch ran inline
+  };
+  std::vector<Slot> slots(n);
+  // Carry the caller's deadline — and its request ID, for span and log
+  // attribution — onto the pool workers. The token outlives the tasks:
+  // every launched fetch is drained below before this frame returns.
+  const read_detail::DeadlineToken* deadline = read_detail::current_deadline();
+  const std::uint64_t qid = obs::current_query_id();
+  const auto launch = [&](std::size_t k) {
+    Slot& slot = slots[k];
+    auto fetch = [this, &slot, p = files[k], deadline, qid] {
+      read_detail::ScopedDeadline dl(deadline);
+      obs::ScopedQueryId qs(qid);
+      try {
+        slot.prefix = fetch_file_records(p.file, p.fetch_records, &slot.stats);
+      } catch (...) {
+        slot.error = std::current_exception();
+      }
+    };
+    if (pooled) {
+      slot.done = eng.pool().submit(std::move(fetch));
+    } else {
+      fetch();
+    }
+  };
+
+  // Consume file k while files k+1 .. k+window-1 are still fetching.
+  std::size_t launched = 0;
+  bool stopped = false;
+  std::exception_ptr first_error;
+  for (std::size_t k = 0; k < n; ++k) {
+    while (!stopped && launched < n && launched < k + window)
+      launch(launched++);
+    if (k == launched) break;  // stopped, and every launched fetch drained
+    Slot& slot = slots[k];
+    if (slot.done.valid()) slot.done.get();
+    if (stats) stats->accumulate(slot.stats);
+    try {
+      if (slot.error) std::rethrow_exception(slot.error);
+      if (!stopped && !consume(files[k], slot.prefix)) stopped = true;
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+      stopped = true;
+    }
+    slot.prefix = FilePrefix{};  // drop the buffer before the next file
+  }
+  if (first_error) std::rethrow_exception(first_error);
+}
+
+std::uint64_t Dataset::filter_prefix(int file_index, const FilePrefix& prefix,
+                                     const Box3& box,
+                                     std::span<const RangeFilter> filters,
+                                     bool whole_file_fast_path,
+                                     ParticleBuffer& dst) const {
+  const FileRecord& f = meta_.files[static_cast<std::size_t>(file_index)];
+  obs::AccessProfiler& prof = obs::AccessProfiler::instance();
+  // The filter/merge wall time feeds the per-query time breakdown, so
+  // the clock is only read in detailed mode.
+  const bool timed = prof.detailed();
+  const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
+  std::uint64_t appended = 0;
+  const bool merged = whole_file_fast_path && box.contains_box(f.bounds);
+  if (merged) {
+    // Whole file lies inside the query: no per-particle filter needed —
+    // the payoff of spatially-coherent files. The planner's closed zone
+    // tests guarantee a fully-contained file is never tail-clamped, so
+    // this prefix is the complete LOD prefix.
+    dst.append_bytes(prefix.bytes());
+    appended = prefix.count;
+  } else if (filters.empty()) {
+    appended = read_detail::filter_box_dispatch(prefix.bytes(), meta_.schema,
+                                                box, prefix.mirror(), dst);
+  } else {
+    appended = read_detail::filter_box_ranges_dispatch(
+        prefix.bytes(), meta_.schema, box, filters, prefix.mirror(), dst);
+  }
+  const std::uint64_t us =
+      timed ? static_cast<std::uint64_t>(seconds_since(t0) * 1e6) : 0;
+  prof.record_used(profile_base_, file_index,
+                   appended * meta_.schema.record_size(),
+                   /*filter_us=*/merged ? 0 : us,
+                   /*merge_us=*/merged ? us : 0);
+  return appended;
+}
+
 std::uint64_t Dataset::filter_files_into(std::span<const FilePlan> files,
                                          const Box3& box,
                                          std::span<const RangeFilter> filters,
                                          bool whole_file_fast_path,
                                          ParticleBuffer& out,
                                          ReadStats* stats) const {
-  const std::size_t n = files.size();
-  const std::uint64_t record = meta_.schema.record_size();
-  obs::AccessProfiler& prof = obs::AccessProfiler::instance();
-
-  /// Filter (or fast-path-append) one fetched prefix into `dst` and
-  /// attribute the surviving bytes to the file's profiler slot — the
-  /// shared tail of the serial and pooled branches. The filter/merge
-  /// wall time feeds the per-query time breakdown, so the clock is only
-  /// read in detailed mode.
-  const auto filter_prefix = [&](int fi, const FilePrefix& prefix,
-                                 ParticleBuffer& dst) -> std::uint64_t {
-    const FileRecord& f = meta_.files[static_cast<std::size_t>(fi)];
-    const bool timed = prof.detailed();
-    const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
-    std::uint64_t appended = 0;
-    bool merged = false;
-    if (whole_file_fast_path && box.contains_box(f.bounds)) {
-      // Whole file lies inside the query: no per-particle filter
-      // needed — the payoff of spatially-coherent files. The planner's
-      // closed zone tests guarantee a fully-contained file is never
-      // tail-clamped, so this prefix is the complete LOD prefix.
-      dst.append_bytes(prefix.bytes());
-      appended = prefix.count;
-      merged = true;
-    } else if (filters.empty()) {
-      appended = read_detail::filter_box_dispatch(prefix.bytes(), meta_.schema,
-                                                  box, prefix.mirror(), dst);
-    } else {
-      appended = read_detail::filter_box_ranges_dispatch(
-          prefix.bytes(), meta_.schema, box, filters, prefix.mirror(), dst);
-    }
-    const std::uint64_t us =
-        timed ? static_cast<std::uint64_t>(seconds_since(t0) * 1e6) : 0;
-    prof.record_used(profile_base_, fi, appended * record,
-                     /*filter_us=*/merged ? 0 : us,
-                     /*merge_us=*/merged ? us : 0);
-    return appended;
-  };
-
-  /// Fetch + filter file `files[k]` into `dst`, counting into `st`.
-  /// Returns records appended.
-  const auto filter_one = [&](std::size_t k, ParticleBuffer& dst,
-                              ReadStats* st) -> std::uint64_t {
-    const FilePlan& p = files[k];
-    const FilePrefix prefix =
-        fetch_file_records(p.file, p.fetch_records, st);
-    return filter_prefix(p.file, prefix, dst);
-  };
-
-  ReadEngine& eng = ReadEngine::instance();
-  std::uint64_t returned = 0;
-  if (n <= 1 || eng.concurrency() <= 1) {
-    // Serial: filter every file straight into `out` — no per-file
-    // buffers, no merge copy. This IS the merge order.
-    for (std::size_t k = 0; k < n; ++k) returned += filter_one(k, out, stats);
-    if (stats) stats->particles_returned += returned;
-    return returned;
-  }
-
-  // The merge below emits straight into `out` the moment each file's
-  // fetch resolves, so the exact total is not known up front. Reserve
-  // the metadata upper bound (every record of every prefix matching) and
-  // trim below when a selective query leaves most of it unused — the
-  // trim copy is cheapest exactly when the result is small.
+  // Each file is filtered into `out` the moment its fetch resolves, so
+  // the exact total is not known up front. Reserve the metadata upper
+  // bound (every record of every prefix matching) and trim below when a
+  // selective query leaves most of it unused — the trim copy is
+  // cheapest exactly when the result is small.
   std::uint64_t upper = 0;
-  for (std::size_t k = 0; k < n; ++k) upper += files[k].fetch_records;
+  for (const FilePlan& p : files) upper += p.fetch_records;
   const std::size_t prior = out.size();
   out.reserve(prior + static_cast<std::size_t>(upper));
 
-  // Workers only fetch; the main thread filters each prefix into `out`
-  // in `files` order — the serial loop's order, so output (and the
-  // rethrow point of a failing file) stays identical — as soon as its
-  // fetch resolves. Filtering file k rides in the I/O-wait gaps of the
-  // still-running fetches of files k+1..n.
-  struct PerFile {
-    FilePrefix prefix;
-    ReadStats stats;
-  };
-  std::vector<PerFile> results(n);
-  std::vector<std::future<void>> pending;
-  pending.reserve(n);
-  // Carry the submitting query's deadline — and its request ID, for span
-  // and log attribution — onto the pool workers. The token outlives the
-  // tasks: every future is drained below before this frame returns.
-  const read_detail::DeadlineToken* deadline = read_detail::current_deadline();
-  const std::uint64_t qid = obs::current_query_id();
-  for (std::size_t k = 0; k < n; ++k)
-    pending.push_back(
-        eng.pool().submit([this, &results, files, k, deadline, qid] {
-          read_detail::ScopedDeadline dl(deadline);
-          obs::ScopedQueryId qs(qid);
-          results[k].prefix = fetch_file_records(
-              files[k].file, files[k].fetch_records, &results[k].stats);
-        }));
-
-  std::exception_ptr first_error;
-  for (std::size_t k = 0; k < n; ++k) {
-    try {
-      pending[k].get();  // rethrows this file's fetch error, if any
-      if (first_error) continue;  // drain remaining fetches, don't filter
-      PerFile& r = results[k];
-      if (stats) stats->accumulate(r.stats);
-      returned += filter_prefix(files[k].file, r.prefix, out);
-      r.prefix = FilePrefix{};  // drop the buffer before the next file
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  // Selective query against a big reservation: hand the slack back.
+  std::uint64_t returned = 0;
+  for_each_prefix(files, files.size(), stats,
+                  [&](const FilePlan& p, const FilePrefix& prefix) {
+                    returned += filter_prefix(p.file, prefix, box, filters,
+                                              whole_file_fast_path, out);
+                    return true;
+                  });
   if (out.size() - prior < upper / 2) out.shrink_to_fit();
   if (stats) stats->particles_returned += returned;
   return returned;
@@ -378,26 +376,6 @@ ParticleBuffer Dataset::query_box(const Box3& box, int levels, int n_readers,
   filter_files_into(plan.files, box, {},
                     /*whole_file_fast_path=*/true, out, stats);
   publish_returned(out.size(), out.byte_size());
-  return out;
-}
-
-std::vector<int> Dataset::files_matching(
-    const Box3& box, std::span<const RangeFilter> filters) const {
-  std::vector<int> hits = intersecting(box);
-  if (filters.empty() || !meta_.has_field_ranges) return hits;
-  std::vector<int> out;
-  for (const int fi : hits) {
-    const FileRecord& f = meta_.files[static_cast<std::size_t>(fi)];
-    bool possible = true;
-    for (const RangeFilter& rf : filters) {
-      const std::size_t idx = meta_.range_index(rf.field, rf.component);
-      if (!f.field_ranges[idx].intersects(rf.lo, rf.hi)) {
-        possible = false;
-        break;
-      }
-    }
-    if (possible) out.push_back(fi);
-  }
   return out;
 }
 
@@ -434,99 +412,20 @@ std::uint64_t Dataset::stream_box(
   obs::ScopedSpan span("read.stream_box", "reader");
   obs::ProfiledQuery pq("stream_box");
   const QueryPlan plan = run_plan(box, {}, levels, n_readers, stats);
-  const std::span<const FilePlan> hits = plan.files;
 
-  struct Chunk {
-    ParticleBuffer buf;
-    ReadStats stats;
-    std::exception_ptr error;
-  };
-  const auto produce = [&](const FilePlan& p, Chunk& c) {
-    try {
-      const int fi = p.file;
-      const FileRecord& f = meta_.files[static_cast<std::size_t>(fi)];
-      const FilePrefix prefix =
-          fetch_file_records(fi, p.fetch_records, &c.stats);
-      obs::AccessProfiler& prof = obs::AccessProfiler::instance();
-      const bool timed = prof.detailed();
-      const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
-      const bool merged = box.contains_box(f.bounds);
-      if (merged) {
-        c.buf.append_bytes(prefix.bytes());
-      } else {
-        read_detail::filter_box_dispatch(prefix.bytes(), meta_.schema, box,
-                                         prefix.mirror(), c.buf);
-      }
-      // Survived-the-filter attribution; chunks a stopping sink never
-      // consumes still count (they were materialized and filtered).
-      const std::uint64_t us =
-          timed ? static_cast<std::uint64_t>(seconds_since(t0) * 1e6) : 0;
-      prof.record_used(profile_base_, fi,
-                       c.buf.size() * meta_.schema.record_size(),
-                       /*filter_us=*/merged ? 0 : us,
-                       /*merge_us=*/merged ? us : 0);
-    } catch (...) {
-      c.error = std::current_exception();
-    }
-  };
-
-  // Prefetch window: while the sink consumes one chunk, the pool
-  // produces the next ones. A window of 1 (pool forced to 1) is exactly
-  // the serial path: produce, deliver, repeat — and an early-stopping
-  // sink then reads nothing past the chunk it rejected. With a wider
-  // window, up to `window` file prefixes are resident at once and an
-  // early stop may have prefetched (and so counts in `stats`) up to
-  // `window - 1` files beyond the delivered one.
-  ReadEngine& eng = ReadEngine::instance();
-  const std::size_t window = std::max<std::size_t>(
-      1, std::min<std::size_t>(hits.size(),
-                               static_cast<std::size_t>(eng.concurrency())));
-
-  std::deque<std::unique_ptr<Chunk>> inflight;
-  std::deque<std::future<void>> pending;
-  std::size_t next = 0;
-  bool stopped = false;
-  std::exception_ptr failure;
   std::uint64_t delivered = 0;
-
-  const auto launch = [&] {
-    while (!stopped && !failure && next < hits.size() &&
-           inflight.size() < window) {
-      auto chunk =
-          std::make_unique<Chunk>(Chunk{ParticleBuffer(meta_.schema), {}, {}});
-      Chunk* c = chunk.get();
-      const FilePlan fp = hits[next++];
-      inflight.push_back(std::move(chunk));
-      // As in filter_files_into: the deadline token (and request ID)
-      // outlives the task (the loop below drains every pending future
-      // before returning).
-      const read_detail::DeadlineToken* deadline =
-          read_detail::current_deadline();
-      const std::uint64_t qid = obs::current_query_id();
-      pending.push_back(eng.pool().submit([&produce, fp, c, deadline, qid] {
-        read_detail::ScopedDeadline dl(deadline);
-        obs::ScopedQueryId qs(qid);
-        produce(fp, *c);
-      }));
-    }
-  };
-
-  launch();
-  while (!inflight.empty()) {
-    pending.front().wait();
-    pending.pop_front();
-    const std::unique_ptr<Chunk> c = std::move(inflight.front());
-    inflight.pop_front();
-    if (c->error && !failure) failure = c->error;
-    if (stats) stats->accumulate(c->stats);
-    if (!failure && !stopped && !c->buf.empty()) {
-      delivered += c->buf.size();
-      if (stats) stats->particles_returned += c->buf.size();
-      if (!sink(c->buf)) stopped = true;
-    }
-    launch();
-  }
-  if (failure) std::rethrow_exception(failure);
+  for_each_prefix(
+      plan.files,
+      static_cast<std::size_t>(ReadEngine::instance().concurrency()), stats,
+      [&](const FilePlan& p, const FilePrefix& prefix) {
+        ParticleBuffer chunk(meta_.schema);
+        filter_prefix(p.file, prefix, box, {},
+                      /*whole_file_fast_path=*/true, chunk);
+        if (chunk.empty()) return true;
+        delivered += chunk.size();
+        if (stats) stats->particles_returned += chunk.size();
+        return sink(chunk);
+      });
   publish_returned(delivered, delivered * meta_.schema.record_size());
   return delivered;
 }

@@ -11,14 +11,15 @@
 /// processes can open the same dataset and issue disjoint queries, which
 /// is the paper's visualization-read scenario (§5.3).
 ///
-/// Every query entry point routes through the shared `ReadEngine`
-/// (read_engine.hpp): the intersecting files of a query are read and
-/// filtered concurrently by a bounded worker pool (`SPIO_READ_THREADS`),
-/// file prefixes are served from an LRU buffer cache (`SPIO_READ_CACHE`)
-/// so repeated queries skip disk, and per-particle filtering runs
-/// through fused run-copy kernels. Results are merged in file-index
-/// order, so output is byte-identical to the serial path; a pool of 1
-/// with the cache disabled reproduces serial reads exactly.
+/// Every query entry point is the same operation: plan the files, fetch
+/// each file's prefix, filter it, and concatenate in plan order. One
+/// private loop (`for_each_prefix`) runs it for all of them. Prefixes
+/// are fetched through the shared `ReadEngine` (read_engine.hpp), on its
+/// bounded worker pool (`SPIO_READ_THREADS`) and from its LRU buffer
+/// cache (`SPIO_READ_CACHE`) so repeated queries skip disk. Filtering
+/// runs on the caller's thread, through the fused run-copy kernels, in
+/// plan order, so output is byte-identical to the serial path; a pool
+/// of 1 with the cache disabled reproduces serial reads exactly.
 
 #include <filesystem>
 #include <functional>
@@ -162,10 +163,6 @@ class Dataset {
                        int levels = -1, int n_readers = 1,
                        ReadStats* stats = nullptr) const;
 
-  /// Files surviving both the bounding-box and field-range pruning.
-  std::vector<int> files_matching(const Box3& box,
-                                  std::span<const RangeFilter> filters) const;
-
   /// Streaming box query for memory-bounded consumers (the paper's
   /// workstation-visualization motivation: "the data does not fit in the
   /// available memory"): matching particles are delivered file by file
@@ -174,6 +171,13 @@ class Dataset {
   /// file; peak memory is one file's prefix. Returns the number of
   /// particles delivered. `sink` may return false to stop early (e.g.
   /// once a display budget is filled).
+  ///
+  /// Runs on the shared plan-order loop with a window of
+  /// `ReadEngine::concurrency()` fetches in flight; each chunk is
+  /// filtered on the caller's thread just before `sink` sees it, and
+  /// empty chunks are skipped. With a pool of 1 an early stop reads
+  /// nothing past the rejected chunk; with a wider window, up to
+  /// `window - 1` prefetched files beyond it may be counted in `stats`.
   std::uint64_t stream_box(
       const Box3& box,
       const std::function<bool(const ParticleBuffer& chunk)>& sink,
@@ -208,8 +212,8 @@ class Dataset {
     return meta_.spatial_tree;
   }
 
-  /// This dataset's planner (always set; linear mode under
-  /// `SPIO_PLAN=linear` or for bound-less datasets).
+  /// This dataset's planner (always set; it plans zone-free when the
+  /// zone sidecar is missing or corrupt).
   const QueryPlanner& planner() const { return *planner_; }
 
   /// Base slot of this dataset in the spatial access profiler
@@ -221,22 +225,41 @@ class Dataset {
  private:
   Dataset(std::filesystem::path dir, DatasetMetadata meta);
 
-  /// Files intersecting `box`, via the k-d tree when available.
-  std::vector<int> intersecting(const Box3& box) const;
-
   /// Plan a query, record the planner span/metrics and the skip counters
   /// in `stats` — the shared front half of every query entry point.
   QueryPlan run_plan(const Box3& box, std::span<const RangeFilter> filters,
                      int levels, int n_readers, ReadStats* stats) const;
 
-  /// The shared fan-out body of `query_box` / `query` /
-  /// `query_box_scan_all`: read every planned file through the engine
-  /// (concurrently when the pool allows), filter with the fused kernels,
-  /// and merge the per-file results into `out` in plan order — the
-  /// serial path's order, keeping output byte-identical.
-  /// `whole_file_fast_path` enables the contains_box shortcut (spatial
-  /// queries only; attribute queries must always filter). Returns
-  /// particles appended to `out`.
+  /// The one fetch loop behind every query entry point. Fetches each
+  /// planned file's prefix (`fetch_file_records`) and hands it to
+  /// `consume` on the caller's thread, in plan order. Fetches run inline
+  /// when the engine pool is 1 or the plan has at most one file, and on
+  /// the pool otherwise, with at most `window` of them in flight (each
+  /// carries the caller's deadline and query id). Once `consume` returns
+  /// false no further fetch is launched. Every launched fetch is drained
+  /// and counted into `stats` before returning, then the first error in
+  /// plan order is rethrown.
+  void for_each_prefix(
+      std::span<const FilePlan> files, std::size_t window, ReadStats* stats,
+      const std::function<bool(const FilePlan&, const FilePrefix&)>& consume)
+      const;
+
+  /// The shared per-file step: append the records of `prefix` that match
+  /// `box` and `filters` to `dst` — the whole prefix when
+  /// `whole_file_fast_path` is set and `box` contains the file (spatial
+  /// queries only; attribute queries must always filter) — and attribute
+  /// the appended bytes to the file's profiler slot. Returns records
+  /// appended.
+  std::uint64_t filter_prefix(int file_index, const FilePrefix& prefix,
+                              const Box3& box,
+                              std::span<const RangeFilter> filters,
+                              bool whole_file_fast_path,
+                              ParticleBuffer& dst) const;
+
+  /// `query_box` / `query` / `query_box_scan_all`: run every planned
+  /// file through `for_each_prefix` with all fetches in flight, filtering
+  /// straight into `out`. Reserves the metadata upper bound and trims it
+  /// when less than half is used. Returns particles appended to `out`.
   std::uint64_t filter_files_into(std::span<const FilePlan> files,
                                   const Box3& box,
                                   std::span<const RangeFilter> filters,
@@ -246,7 +269,7 @@ class Dataset {
 
   std::filesystem::path dir_;
   DatasetMetadata meta_;
-  /// The query planner (k-d tree + zone maps + plan mode); shared so
+  /// The query planner (k-d tree + zone maps); shared so
   /// Dataset stays cheaply copyable.
   std::shared_ptr<const QueryPlanner> planner_;
   /// Access-profiler slot base (see profile_base()).

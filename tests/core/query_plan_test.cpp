@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <set>
 #include <vector>
@@ -21,9 +19,9 @@ namespace {
 
 /// The query planner's differential property suite: the pruned plan
 /// (k-d candidates + field-range pruning + zone-map file skips and LOD
-/// tail clamps) must produce byte-identical query results to the
-/// linear-scan reference plan for every box / filter / LOD combination,
-/// while never opening a file the plan dropped.
+/// tail clamps) must produce byte-identical query results to a serial
+/// oracle over the linear-scan reference plan for every box / filter /
+/// LOD combination, while never opening a file the plan dropped.
 class PlannerSuite : public ::testing::Test {
  protected:
   static constexpr int kRanks = 8;
@@ -63,23 +61,33 @@ class PlannerSuite : public ::testing::Test {
     dir_ = nullptr;
   }
 
-  /// The same dataset through the linear-scan oracle planner
-  /// (`SPIO_PLAN=linear`, read at Dataset construction).
-  static Dataset open_linear() {
-    const bool keep = forced_linear();
-    ::setenv("SPIO_PLAN", "linear", 1);
-    Dataset ds = Dataset::open(dir_->path());
-    if (!keep) ::unsetenv("SPIO_PLAN");
-    return ds;
-  }
-
-  /// True when the suite itself runs under SPIO_PLAN=linear
-  /// (bench/run_hotpath.sh re-runs it that way to pin the oracle path):
-  /// every Dataset then plans linearly and pruning-specific
-  /// expectations are vacuous.
-  static bool forced_linear() {
-    const char* v = ::getenv("SPIO_PLAN");
-    return v != nullptr && std::strcmp(v, "linear") == 0;
+  /// The serial oracle of `query_box` / `query`: the `plan_reference`
+  /// files in plan order, each file's full LOD prefix run through the
+  /// retained reference kernels — or appended whole when a pure box
+  /// query contains the file (the whole-file shortcut). Adds the records
+  /// it fetched to `*scanned`.
+  static ParticleBuffer oracle_query(
+      const Dataset& ds, const Box3& box,
+      std::span<const Dataset::RangeFilter> filters, int levels,
+      std::uint64_t* scanned = nullptr) {
+    const DatasetMetadata& meta = ds.metadata();
+    ParticleBuffer out(meta.schema);
+    for (const FilePlan& p : ds.plan_reference(box, filters, levels).files) {
+      const Dataset::FilePrefix prefix =
+          ds.fetch_file_records(p.file, p.fetch_records, nullptr);
+      if (scanned) *scanned += prefix.count;
+      const FileRecord& f = meta.files[static_cast<std::size_t>(p.file)];
+      if (filters.empty() && box.contains_box(f.bounds)) {
+        out.append_bytes(prefix.bytes());
+      } else if (filters.empty()) {
+        read_detail::filter_box_reference(prefix.bytes(), meta.schema, box,
+                                          out);
+      } else {
+        read_detail::filter_box_ranges_reference(prefix.bytes(), meta.schema,
+                                                 box, filters, out);
+      }
+    }
+    return out;
   }
 
   static TempDir* dir_;
@@ -136,36 +144,33 @@ RandomQuery random_query(Xoshiro256& rng, const DatasetMetadata& meta,
 }
 
 TEST_F(PlannerSuite, RandomQueriesMatchTheLinearOracle) {
-  const Dataset pruned = Dataset::open(dir_->path());
-  const Dataset linear = open_linear();
-  if (!forced_linear()) {
-    ASSERT_FALSE(pruned.planner().plan(
-        pruned.metadata(), pruned.metadata().domain, {}, -1, 1).used_linear);
-  }
-  const int levels = pruned.level_count(1);
+  const Dataset ds = Dataset::open(dir_->path());
+  // Both pruning structures are live, so the queries below take the
+  // k-d descent and the zone clamps, not a degraded plan.
+  ASSERT_TRUE(ds.spatial_tree());
+  ASSERT_NE(ds.planner().zones(), nullptr);
+  const int levels = ds.level_count(1);
 
   for (const std::uint64_t seed : {1u, 2u}) {
     Xoshiro256 rng(seed);
     for (int iter = 0; iter < 1000; ++iter) {
-      const RandomQuery q = random_query(rng, pruned.metadata(), levels);
-      ReadStats ps, ls;
+      const RandomQuery q = random_query(rng, ds.metadata(), levels);
+      ReadStats ps;
       const ParticleBuffer a =
-          q.filters.empty()
-              ? pruned.query_box(q.box, q.levels, 1, &ps)
-              : pruned.query(q.box, q.filters, q.levels, 1, &ps);
+          q.filters.empty() ? ds.query_box(q.box, q.levels, 1, &ps)
+                            : ds.query(q.box, q.filters, q.levels, 1, &ps);
+      std::uint64_t oracle_scanned = 0;
       const ParticleBuffer b =
-          q.filters.empty() ? linear.query_box(q.box, q.levels, 1, &ls)
-                            : linear.query(q.box, q.filters, q.levels, 1, &ls);
+          oracle_query(ds, q.box, q.filters, q.levels, &oracle_scanned);
       ASSERT_EQ(a.byte_size(), b.byte_size())
           << "seed " << seed << " iter " << iter;
       ASSERT_TRUE(std::equal(a.bytes().begin(), a.bytes().end(),
                              b.bytes().begin()))
           << "seed " << seed << " iter " << iter;
       // Pruning may only ever remove work relative to the oracle.
-      // (`particles_scanned` rather than `files_opened`: the two
-      // datasets share the engine's prefix cache, so the oracle's
-      // opens are mostly hits.)
-      EXPECT_LE(ps.particles_scanned, ls.particles_scanned);
+      // (`particles_scanned` rather than `files_opened`: the oracle
+      // shares the engine's prefix cache, so its opens are mostly hits.)
+      EXPECT_LE(ps.particles_scanned, oracle_scanned);
     }
   }
 }
@@ -179,8 +184,6 @@ TEST_F(PlannerSuite, PlansAreInternallyConsistent) {
     const RandomQuery q = random_query(rng, ds.metadata(), levels);
     const QueryPlan plan = ds.plan_query(q.box, q.filters, q.levels);
     const QueryPlan ref = ds.plan_reference(q.box, q.filters, q.levels);
-    if (!forced_linear()) EXPECT_FALSE(plan.used_linear);
-    EXPECT_TRUE(ref.used_linear);
     EXPECT_EQ(plan.files_considered,
               static_cast<int>(plan.files.size()) + plan.files_skipped);
 
@@ -245,7 +248,6 @@ TEST_F(PlannerSuite, NearestVisitsEveryFileInDistanceOrder) {
 
 TEST_F(PlannerSuite, ZoneEdgeProbes) {
   const Dataset pruned = Dataset::open(dir_->path());
-  const Dataset linear = open_linear();
   const DatasetMetadata& meta = pruned.metadata();
   const auto density = meta.schema.index_of("density");
   const std::size_t di = meta.range_index(density, 0);
@@ -254,15 +256,17 @@ TEST_F(PlannerSuite, ZoneEdgeProbes) {
 
   const auto probe = [&](double lo, double hi) {
     const Dataset::RangeFilter rf{density, 0, lo, hi};
-    ReadStats ps, ls;
+    ReadStats ps;
+    std::uint64_t oracle_scanned = 0;
     const auto a = pruned.query(meta.domain, std::span(&rf, 1), -1, 1, &ps);
-    const auto b = linear.query(meta.domain, std::span(&rf, 1), -1, 1, &ls);
+    const auto b = oracle_query(pruned, meta.domain, std::span(&rf, 1), -1,
+                                &oracle_scanned);
     EXPECT_EQ(a.byte_size(), b.byte_size()) << "[" << lo << ", " << hi << "]";
     EXPECT_TRUE(a.byte_size() == b.byte_size() &&
                 std::equal(a.bytes().begin(), a.bytes().end(),
                            b.bytes().begin()))
         << "[" << lo << ", " << hi << "]";
-    EXPECT_LE(ps.particles_scanned, ls.particles_scanned);
+    EXPECT_LE(ps.particles_scanned, oracle_scanned);
     return a.size();
   };
 
@@ -290,10 +294,7 @@ TEST_F(PlannerSuite, ZoneEdgeProbes) {
 }
 
 TEST_F(PlannerSuite, ZoneTailSkipFiresAndStaysExact) {
-  if (forced_linear())
-    GTEST_SKIP() << "SPIO_PLAN=linear disables zone pruning";
   const Dataset ds = Dataset::open(dir_->path());
-  const Dataset linear = open_linear();
   const DatasetMetadata& meta = ds.metadata();
   const auto density = meta.schema.index_of("density");
   const std::size_t di = meta.range_index(density, 0);
@@ -321,7 +322,7 @@ TEST_F(PlannerSuite, ZoneTailSkipFiresAndStaysExact) {
     EXPECT_TRUE(plan.zone_pruned);
     ReadStats ps;
     const auto a = ds.query(meta.domain, std::span(&rf, 1), -1, 1, &ps);
-    const auto b = linear.query(meta.domain, std::span(&rf, 1));
+    const auto b = oracle_query(ds, meta.domain, std::span(&rf, 1), -1);
     EXPECT_GT(ps.lod_bytes_skipped, 0u);
     ASSERT_EQ(a.byte_size(), b.byte_size());
     ASSERT_TRUE(
@@ -398,12 +399,16 @@ TEST_F(PlannerSuite, BoxOutsideTheDomainPlansAndOpensNothing) {
   EXPECT_EQ(ref.files_considered, 0);
 }
 
-TEST_F(PlannerSuite, LinearModeEnvSwitchesThePlanner) {
-  const Dataset linear = open_linear();
-  const QueryPlan plan =
-      linear.plan_query(linear.metadata().domain, {});
-  EXPECT_TRUE(plan.used_linear);
-  EXPECT_EQ(plan.files.size(), linear.metadata().files.size());
+TEST_F(PlannerSuite, ReferencePlanTakesEveryFileOfTheDomain) {
+  const Dataset ds = Dataset::open(dir_->path());
+  const QueryPlan plan = ds.plan_reference(ds.metadata().domain, {});
+  ASSERT_EQ(plan.files.size(), ds.metadata().files.size());
+  for (const FilePlan& p : plan.files) {
+    EXPECT_EQ(p.fetch_records, p.prefix_records);
+    EXPECT_EQ(p.fetch_records,
+              ds.metadata().files[static_cast<std::size_t>(p.file)]
+                  .particle_count);
+  }
 }
 
 TEST(ZoneLaw, ZoneBoundariesTileTheFile) {

@@ -80,9 +80,9 @@ TEST_F(RangeQuery, RangePruningSkipsFiles) {
   // Density in [3100, 3400]: only rank 3's file can match.
   const Dataset::RangeFilter rf{density, 0, 3100.0, 3400.0};
   const auto hits =
-      ds.files_matching(ds.metadata().domain, std::span(&rf, 1));
+      ds.plan_reference(ds.metadata().domain, std::span(&rf, 1)).files;
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(ds.metadata().files[static_cast<std::size_t>(hits[0])]
+  EXPECT_EQ(ds.metadata().files[static_cast<std::size_t>(hits[0].file)]
                 .partition_id,
             3u);
 

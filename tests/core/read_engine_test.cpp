@@ -249,8 +249,8 @@ class ReadEngineQueries : public ::testing::Test {
       std::span<const Dataset::RangeFilter> filters) {
     EngineConfig serial(1, 0);
     ParticleBuffer out(ds.metadata().schema);
-    for (const int fi : ds.files_matching(box, filters)) {
-      const ParticleBuffer buf = ds.read_data_file(fi);
+    for (const FilePlan& p : ds.plan_reference(box, filters).files) {
+      const ParticleBuffer buf = ds.read_data_file(p.file);
       read_detail::filter_box_ranges_reference(
           buf.bytes(), ds.metadata().schema, box, filters, out);
     }
@@ -300,13 +300,105 @@ TEST_F(ReadEngineQueries, EveryEntryPointIsByteIdenticalAcrossConfigs) {
           << " budget=" << c.budget;
 
       ParticleBuffer streamed(schema);
-      ds.stream_box(box, [&](const ParticleBuffer& chunk) {
-        streamed.append_bytes(chunk.bytes());
-        return true;
-      });
+      ReadStats ss;
+      ds.stream_box(
+          box,
+          [&](const ParticleBuffer& chunk) {
+            streamed.append_bytes(chunk.bytes());
+            return true;
+          },
+          -1, 1, &ss);
       EXPECT_TRUE(same_bytes(streamed.bytes(), want_box.bytes()))
           << "stream_box threads=" << c.threads << " budget=" << c.budget;
+
+      // Streaming and materializing run the same plan through the same
+      // loop: every counter that does not depend on cache state agrees.
+      ReadStats bs;
+      ds.query_box(box, -1, 1, &bs);
+      EXPECT_EQ(ss.particles_scanned, bs.particles_scanned);
+      EXPECT_EQ(ss.particles_returned, bs.particles_returned);
+      EXPECT_EQ(ss.files_skipped, bs.files_skipped);
+      EXPECT_EQ(ss.lod_bytes_skipped, bs.lod_bytes_skipped);
+      EXPECT_EQ(ss.files_opened + static_cast<int>(ss.cache_hits),
+                bs.files_opened + static_cast<int>(bs.cache_hits))
+          << "threads=" << c.threads << " budget=" << c.budget;
     }
+  }
+}
+
+TEST_F(ReadEngineQueries, FailedFetchThrowsFromEveryEntryPoint) {
+  const Dataset ds = Dataset::open(dir_->path());
+  const DatasetMetadata& meta = ds.metadata();
+  const Box3 box({0.2, 0.15, 0.3}, {0.85, 0.8, 0.7});
+  const std::vector<Dataset::RangeFilter> filters{
+      {meta.schema.index_of("density"), 0, 990.0, 1050.0}};
+  const ParticleBuffer want_box = reference_query_box(ds, box);
+  const ParticleBuffer want_rq = reference_query(ds, box, filters);
+
+  // Every file the box touches yields a non-empty chunk, so stream chunk
+  // i comes from planned file i.
+  const std::vector<FilePlan> box_plan = ds.plan_query(box, {}).files;
+  const std::vector<FilePlan> rq_plan = ds.plan_query(box, filters).files;
+  ASSERT_GE(rq_plan.size(), 3u);
+  std::vector<std::vector<std::byte>> want_chunks;
+  ds.stream_box(box, [&](const ParticleBuffer& chunk) {
+    want_chunks.emplace_back(chunk.bytes().begin(), chunk.bytes().end());
+    return true;
+  });
+  ASSERT_EQ(want_chunks.size(), box_plan.size());
+
+  // The third planned file of each entry point fails every disk read.
+  const auto file_name = [&](int fi) {
+    return meta.files[static_cast<std::size_t>(fi)].file_name();
+  };
+  const auto fail_on = [](std::string victim) {
+    ReadEngine::instance().set_fetch_hook(
+        [victim](const std::filesystem::path& p, std::uint64_t) {
+          if (p.filename() == victim)
+            throw IoError("injected fetch failure on " + victim);
+        });
+  };
+
+  for (const int threads : {1, 4}) {
+    // Cache off: every fetch reads disk, so the hook sees every file.
+    EngineConfig cfg(threads, 0);
+
+    fail_on(file_name(box_plan[2].file));
+    EXPECT_THROW(ds.query_box(box), IoError) << "threads=" << threads;
+    std::vector<std::vector<std::byte>> got_chunks;
+    EXPECT_THROW(ds.stream_box(box,
+                               [&](const ParticleBuffer& chunk) {
+                                 got_chunks.emplace_back(chunk.bytes().begin(),
+                                                         chunk.bytes().end());
+                                 return true;
+                               }),
+                 IoError)
+        << "threads=" << threads;
+    fail_on(file_name(rq_plan[2].file));
+    EXPECT_THROW(ds.query(box, filters), IoError) << "threads=" << threads;
+    fail_on(file_name(2));  // the scan reads every file in index order
+    EXPECT_THROW(ds.query_box_scan_all(box), IoError)
+        << "threads=" << threads;
+    ReadEngine::instance().set_fetch_hook(nullptr);
+
+    // The sink saw exactly the chunks of the files before the failing
+    // one, never the failing file or any file after it.
+    ASSERT_EQ(got_chunks.size(), 2u) << "threads=" << threads;
+    for (std::size_t i = 0; i < got_chunks.size(); ++i)
+      EXPECT_TRUE(same_bytes(got_chunks[i], want_chunks[i]))
+          << "threads=" << threads << " chunk " << i;
+
+    // A failed query leaves nothing behind: the next ones are exact.
+    EXPECT_TRUE(same_bytes(ds.query_box(box).bytes(), want_box.bytes()));
+    EXPECT_TRUE(same_bytes(ds.query(box, filters).bytes(), want_rq.bytes()));
+    EXPECT_TRUE(
+        same_bytes(ds.query_box_scan_all(box).bytes(), want_box.bytes()));
+    ParticleBuffer streamed(meta.schema);
+    ds.stream_box(box, [&](const ParticleBuffer& chunk) {
+      streamed.append_bytes(chunk.bytes());
+      return true;
+    });
+    EXPECT_TRUE(same_bytes(streamed.bytes(), want_box.bytes()));
   }
 }
 

@@ -542,8 +542,8 @@ ParticleBuffer serial_query_reference(
     const Dataset& ds, const Box3& box,
     std::span<const Dataset::RangeFilter> filters) {
   ParticleBuffer out(ds.metadata().schema);
-  for (const int fi : ds.files_matching(box, filters)) {
-    const ParticleBuffer buf = ds.read_data_file(fi);
+  for (const FilePlan& p : ds.plan_reference(box, filters).files) {
+    const ParticleBuffer buf = ds.read_data_file(p.file);
     read_detail::filter_box_ranges_reference(buf.bytes(), ds.metadata().schema,
                                              box, filters, out);
   }
