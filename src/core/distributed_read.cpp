@@ -137,7 +137,9 @@ ParticleBuffer distributed_read(simmpi::Comm& comm,
       info.levels = levels;
       for (int r = 0; r < comm.size(); ++r) {
         const ReadStats& s = all[static_cast<std::size_t>(r)];
-        info.phases.push_back({r, s.file_io_seconds, s.exchange_seconds});
+        info.phases.push_back({r,
+                               {{"file_io", s.file_io_seconds},
+                                {"exchange", s.exchange_seconds}}});
         info.totals.files_opened += static_cast<std::uint64_t>(s.files_opened);
         info.totals.bytes_read += s.bytes_read;
         info.totals.particles_scanned += s.particles_scanned;

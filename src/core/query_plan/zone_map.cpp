@@ -150,8 +150,8 @@ std::vector<FieldRange> compute_zone_maps(const ParticleBuffer& buf,
   const std::size_t rs = buf.record_size();
   std::uint32_t z = 0;
   std::uint64_t next = zone_begin(lod, 1, n);
-  // Record-major, like compute_field_ranges: each record updates all of
-  // its zone's component ranges while it sits in cache.
+  // Record-major: each record updates all of its zone's component ranges
+  // while it sits in cache.
   for (std::uint64_t i = 0; i < n; ++i) {
     if (i == next) {
       ++z;

@@ -76,9 +76,9 @@ struct ZoneMapTable {
 std::vector<FieldRange> compute_zone_maps(const ParticleBuffer& buf,
                                           const LodParams& lod);
 
-/// Union of all zones per component — the file-level field ranges. Unlike
-/// `compute_field_ranges` this is NaN-aware: poisoned zones widen the
-/// union to [-inf, +inf] instead of dropping the values.
+/// Union of all zones per component — the file-level field ranges. NaN-
+/// aware: poisoned zones widen the union to [-inf, +inf] instead of
+/// dropping the values.
 std::vector<FieldRange> zone_union(const std::vector<FieldRange>& zones,
                                    std::size_t range_count);
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -105,16 +106,10 @@ void publish_write_stats(const WriteStats& s) {
   reg.counter("writer.files_written")
       .add(static_cast<std::uint64_t>(s.files_written));
   if (s.was_aggregator) reg.counter("writer.aggregators").add(1);
-  const auto us = [](double sec) {
-    return static_cast<std::uint64_t>(sec * 1e6);
-  };
-  reg.counter("writer.setup_us").add(us(s.setup_seconds));
-  reg.counter("writer.meta_exchange_us").add(us(s.meta_exchange_seconds));
-  reg.counter("writer.particle_exchange_us")
-      .add(us(s.particle_exchange_seconds));
-  reg.counter("writer.reorder_us").add(us(s.reorder_seconds));
-  reg.counter("writer.file_io_us").add(us(s.file_io_seconds));
-  reg.counter("writer.metadata_io_us").add(us(s.metadata_io_seconds));
+  for (const WritePhaseInfo& p : kWritePhases) {
+    reg.counter(std::string("writer.") + p.key + "_us")
+        .add(static_cast<std::uint64_t>(s.*p.seconds * 1e6));
+  }
 }
 
 /// Flat config echo for the run record.
@@ -129,22 +124,8 @@ std::map<std::string, std::string> config_echo(const WriterConfig& c) {
   out["heuristic"] = heuristic_name(c.heuristic);
   out["write_spatial_metadata"] = yesno(c.write_spatial_metadata);
   out["write_field_ranges"] = yesno(c.write_field_ranges);
-  out["write_zone_maps"] = yesno(c.write_zone_maps);
-  out["write_checksums"] = yesno(c.write_checksums);
-  out["journal"] = yesno(c.journal);
   out["fault_injection"] = yesno(c.faults != nullptr);
   return out;
-}
-
-double load_component(const std::byte* p, bool f64) {
-  if (f64) {
-    double v;
-    std::memcpy(&v, p, sizeof(double));
-    return v;
-  }
-  float v;
-  std::memcpy(&v, p, sizeof(float));
-  return static_cast<double>(v);
 }
 
 /// The failing rank's partial stats for the postmortem bundle: whatever
@@ -152,15 +133,9 @@ double load_component(const std::byte* p, bool f64) {
 /// point reads zero.
 obs::JsonValue write_stats_to_json(const WriteStats& s) {
   obs::JsonValue out = obs::JsonValue::object();
-  out.set("setup_seconds", obs::JsonValue::number(s.setup_seconds));
-  out.set("meta_exchange_seconds",
-          obs::JsonValue::number(s.meta_exchange_seconds));
-  out.set("particle_exchange_seconds",
-          obs::JsonValue::number(s.particle_exchange_seconds));
-  out.set("reorder_seconds", obs::JsonValue::number(s.reorder_seconds));
-  out.set("file_io_seconds", obs::JsonValue::number(s.file_io_seconds));
-  out.set("metadata_io_seconds",
-          obs::JsonValue::number(s.metadata_io_seconds));
+  for (const WritePhaseInfo& p : kWritePhases)
+    out.set(std::string(p.key) + "_seconds",
+            obs::JsonValue::number(s.*p.seconds));
   out.set("particles_sent", obs::JsonValue::number(s.particles_sent));
   out.set("bytes_sent", obs::JsonValue::number(s.bytes_sent));
   out.set("particles_written", obs::JsonValue::number(s.particles_written));
@@ -348,59 +323,12 @@ BinnedParticles bin_particles_reference(const ParticleBuffer& local,
   return out;
 }
 
-std::vector<FieldRange> compute_field_ranges(const ParticleBuffer& buf) {
-  SPIO_EXPECTS(!buf.empty());
-  const Schema& s = buf.schema();
-
-  // Flattened component directory: byte offset within a record + type.
-  struct Comp {
-    std::size_t offset;
-    bool f64;
-  };
-  std::vector<Comp> comps;
-  for (std::size_t f = 0; f < s.field_count(); ++f) {
-    const FieldDesc& fd = s.fields()[f];
-    const std::size_t elem = field_type_size(fd.type);
-    for (std::uint32_t c = 0; c < fd.components; ++c)
-      comps.push_back({s.offset(f) + c * elem, fd.type == FieldType::kF64});
-  }
-
-  const std::byte* base = buf.bytes().data();
-  const std::size_t rs = buf.record_size();
-  const std::size_t n = buf.size();
-
-  // Record-major: every record is touched once, all component ranges are
-  // updated from it while it is in cache (vs. fields x components sweeps
-  // over the whole AoS buffer).
-  std::vector<FieldRange> ranges(comps.size());
-  for (std::size_t c = 0; c < comps.size(); ++c) {
-    const double v = load_component(base + comps[c].offset, comps[c].f64);
-    ranges[c].min = ranges[c].max = v;
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::byte* rec = base + i * rs;
-    for (std::size_t c = 0; c < comps.size(); ++c) {
-      const double v = load_component(rec + comps[c].offset, comps[c].f64);
-      ranges[c].min = std::min(ranges[c].min, v);
-      ranges[c].max = std::max(ranges[c].max, v);
-    }
-  }
-  return ranges;
-}
-
 }  // namespace writer_detail
 
 WriteStats WriteStats::max_over(const WriteStats& a, const WriteStats& b) {
   WriteStats m;
-  m.setup_seconds = std::max(a.setup_seconds, b.setup_seconds);
-  m.meta_exchange_seconds =
-      std::max(a.meta_exchange_seconds, b.meta_exchange_seconds);
-  m.particle_exchange_seconds =
-      std::max(a.particle_exchange_seconds, b.particle_exchange_seconds);
-  m.reorder_seconds = std::max(a.reorder_seconds, b.reorder_seconds);
-  m.file_io_seconds = std::max(a.file_io_seconds, b.file_io_seconds);
-  m.metadata_io_seconds =
-      std::max(a.metadata_io_seconds, b.metadata_io_seconds);
+  for (const WritePhaseInfo& p : kWritePhases)
+    m.*p.seconds = std::max(a.*p.seconds, b.*p.seconds);
   m.particles_sent = a.particles_sent + b.particles_sent;
   m.bytes_sent = a.bytes_sent + b.bytes_sent;
   m.particles_written = a.particles_written + b.particles_written;
@@ -415,114 +343,146 @@ WriteStats WriteStats::max_over(const WriteStats& a, const WriteStats& b) {
 
 namespace {
 
-/// The write pipeline proper. `stats` and `cur_phase` live in the caller
-/// so the postmortem wrapper below can bundle the partial stats and the
-/// phase the failing rank was in.
-void write_dataset_impl(simmpi::Comm& comm, const PatchDecomposition& decomp,
-                        const ParticleBuffer& local,
-                        const WriterConfig& config, WriteStats& stats,
-                        faultsim::WritePhase& cur_phase) {
-  const int rank = comm.rank();
+/// One rank's write, carried from stage to stage: each stage reads what
+/// the stages before it left here and adds its own results. The stats and
+/// the current fault phase live here too, so the postmortem wrapper can
+/// bundle what the failing rank had done and where it was.
+struct WriteJob {
+  WriteJob(simmpi::Comm& c, const PatchDecomposition& d,
+           const ParticleBuffer& l, const WriterConfig& cfg)
+      : comm(c), decomp(d), local(l), config(cfg), rank(c.rank()),
+        aggregated(l.schema()) {}
 
-  // simmpi ranks are threads of one process, so every rank observes the
-  // same collection state and agrees on the record-emission collectives
-  // below without a broadcast.
-  const bool record_run = config.run_record && obs::run_records_enabled();
-  obs::ScopedSpan whole_span("write.dataset", "writer");
-  obs::PhaseSpan phase("writer");
+  simmpi::Comm& comm;
+  const PatchDecomposition& decomp;
+  const ParticleBuffer& local;
+  const WriterConfig& config;
+  const int rank;
 
-  // Rank 0 creates the dataset directory and opens the write journal
-  // before anyone writes into it: from here until the metadata commit,
-  // a crash leaves a journal that marks the directory incomplete.
-  if (rank == 0) {
-    std::error_code ec;
-    std::filesystem::create_directories(config.dir, ec);
-    SPIO_CHECK(!ec, IoError, "cannot create dataset directory '"
-                                 << config.dir.string()
-                                 << "': " << ec.message());
-    if (config.journal) WriteJournal::begin(config.dir);
+  WriteStats stats{};
+  faultsim::WritePhase phase = faultsim::WritePhase::kSetup;
+
+  // plan_aggregation
+  std::optional<AggregationPlan> plan;
+  bool fast_path = false;
+  // exchange_counts
+  int fast_partition = -1;               // the aligned fast path's one bin
+  writer_detail::BinnedParticles bins;   // the general path's bins
+  int my_partition = -1;                 // partition aggregated here, or -1
+  std::vector<int> count_senders;
+  std::vector<std::uint64_t> incoming_counts;
+  std::uint64_t incoming_total = 0;
+  // exchange_particles
+  ParticleBuffer aggregated;
+  // write_data_file
+  FileRecord record;
+  std::uint64_t crc = 0;
+  std::vector<FieldRange> zones;
+  // commit_metadata (rank 0 only)
+  obs::WriteRunInfo::LoadBalance balance;
+};
+
+/// Announce a phase entry: flight record, and the fault injector's
+/// scripted rank death when one is installed.
+void enter_phase(WriteJob& job, faultsim::WritePhase phase) {
+  job.phase = phase;
+  obs::flight_record(obs::FlightType::kPhase,
+                     faultsim::phase_name(phase).data());
+  if (job.config.faults) job.config.faults->on_phase(job.rank, phase);
+}
+
+/// Point-to-point exchange: under fault injection the acknowledged retry
+/// protocol, which recovers dropped, duplicated and delayed messages;
+/// otherwise plain sends and receives.
+std::vector<std::vector<std::byte>> exchange(
+    WriteJob& job, std::vector<faultsim::Outbound> out,
+    const std::vector<int>& expect, int tag) {
+  if (job.config.faults) {
+    return faultsim::reliable_exchange(job.comm, std::move(out), expect, tag,
+                                       job.config.retry);
   }
-  comm.barrier();
+  for (auto& o : out) job.comm.send_bytes(o.dst, tag, std::move(o.payload));
+  std::vector<std::vector<std::byte>> in;
+  in.reserve(expect.size());
+  for (const int s : expect)
+    in.push_back(job.comm.recv_message(s, tag).payload);
+  return in;
+}
+
+/// Rank 0 creates the dataset directory and opens the write journal
+/// before anyone writes into it: from here until the metadata commit, a
+/// crash leaves a journal that marks the directory incomplete.
+void open_dataset(WriteJob& job) {
+  if (job.rank == 0) {
+    std::error_code ec;
+    std::filesystem::create_directories(job.config.dir, ec);
+    SPIO_CHECK(!ec, IoError, "cannot create dataset directory '"
+                                 << job.config.dir.string()
+                                 << "': " << ec.message());
+    WriteJournal::begin(job.config.dir);
+  }
+  job.comm.barrier();
   // Fatal-signal black box: if the process dies mid-write, the installed
   // crash handler (when any) dumps the flight rings next to this dataset.
-  obs::set_crash_dump_dir(config.dir);
+  obs::set_crash_dump_dir(job.config.dir);
+}
 
-  // Fault-injection plumbing: phase announcements (scripted rank death)
-  // and the acknowledged exchange that recovers dropped, duplicated and
-  // delayed messages. Without an injector both collapse to the plain
-  // protocol.
-  const auto enter_phase = [&](faultsim::WritePhase phase_id) {
-    cur_phase = phase_id;
-    obs::flight_record(obs::FlightType::kPhase,
-                       faultsim::phase_name(phase_id).data());
-    if (config.faults) config.faults->on_phase(rank, phase_id);
-  };
-  const auto exchange = [&](std::vector<faultsim::Outbound> out,
-                            const std::vector<int>& expect, int tag) {
-    if (config.faults) {
-      return faultsim::reliable_exchange(comm, std::move(out), expect, tag,
-                                         config.retry);
-    }
-    for (auto& o : out) comm.send_bytes(o.dst, tag, std::move(o.payload));
-    std::vector<std::vector<std::byte>> in;
-    in.reserve(expect.size());
-    for (const int s : expect) in.push_back(comm.recv_message(s, tag).payload);
-    return in;
-  };
-  enter_phase(faultsim::WritePhase::kSetup);
-
-  // ---- step 1 + 2: aggregation grid setup and aggregator selection ----
-  phase.begin("write.setup");
-  auto t0 = Clock::now();
-  const Box3 local_bounds = local.bounds();
+AggregationPlan make_plan(const WriteJob& job, const Box3& local_bounds) {
+  const WriterConfig& config = job.config;
+  constexpr AggregatorPlacement kUniform = AggregatorPlacement::kUniform;
   // The simulation contract is that particles lie within their owner's
   // patch; drifting particles (e.g. a checkpoint taken mid-advection)
   // break it. Detect spill collectively so every rank picks the same
   // plan construction.
-  const bool my_spill =
-      !local.empty() && !decomp.patch(rank).contains_box(local_bounds);
-  AggregationPlan plan = [&] {
-    if (config.adaptive || comm.allreduce(my_spill, simmpi::op::logical_or)) {
-      // All-to-all exchange of tight extents + counts (§6); also used to
-      // repair the communication sets when particles strayed.
-      RankExtent mine{local_bounds, local.size()};
-      const std::vector<RankExtent> extents = comm.allgather(mine);
-      if (!config.adaptive) {
-        return AggregationPlan::non_adaptive_with_extents(
-            decomp, config.factor, config.placement, extents);
-      }
-      return config.adaptive_refine
-                 ? AggregationPlan::adaptive_refined(
-                       decomp, config.factor, config.placement, extents)
-                 : AggregationPlan::adaptive(decomp, config.factor,
-                                             config.placement, extents);
+  const bool my_spill = !job.local.empty() &&
+                        !job.decomp.patch(job.rank).contains_box(local_bounds);
+  if (config.adaptive ||
+      job.comm.allreduce(my_spill, simmpi::op::logical_or)) {
+    // All-to-all exchange of tight extents + counts (§6); also used to
+    // repair the communication sets when particles strayed.
+    RankExtent mine{local_bounds, job.local.size()};
+    const std::vector<RankExtent> extents = job.comm.allgather(mine);
+    if (!config.adaptive) {
+      return AggregationPlan::non_adaptive_with_extents(
+          job.decomp, config.factor, kUniform, extents);
     }
-    return AggregationPlan::non_adaptive(decomp, config.factor,
-                                         config.placement);
-  }();
-  stats.partition_count = plan.partition_count();
+    return config.adaptive_refine
+               ? AggregationPlan::adaptive_refined(job.decomp, config.factor,
+                                                   kUniform, extents)
+               : AggregationPlan::adaptive(job.decomp, config.factor,
+                                           kUniform, extents);
+  }
+  return AggregationPlan::non_adaptive(job.decomp, config.factor, kUniform);
+}
+
+/// Steps 1 + 2: aggregation grid setup and aggregator selection.
+void plan_aggregation(WriteJob& job) {
+  const Box3 local_bounds = job.local.bounds();
+  const AggregationPlan& plan = job.plan.emplace(make_plan(job, local_bounds));
+  job.stats.partition_count = plan.partition_count();
 
   // The aligned fast path ships whole buffers without a per-particle
   // scan; it applies only when the plan is patch-aligned and this rank's
   // particles verifiably stayed home.
-  const bool fast_path = plan.aligned() && !config.force_general_exchange &&
-                         (local.empty() ||
-                          decomp.patch(rank).contains_box(local_bounds));
-  stats.used_aligned_fast_path = fast_path && !local.empty();
-  stats.setup_seconds = seconds_since(t0);
+  job.fast_path = plan.aligned() && !job.config.force_general_exchange &&
+                  (job.local.empty() ||
+                   job.decomp.patch(job.rank).contains_box(local_bounds));
+  job.stats.used_aligned_fast_path = job.fast_path && !job.local.empty();
+}
 
-  // ---- step 3: metadata exchange (counts) ----
-  enter_phase(faultsim::WritePhase::kMetaExchange);
-  phase.begin("write.meta_exchange");
-  t0 = Clock::now();
+/// Step 3: metadata exchange (particle counts).
+void exchange_counts(WriteJob& job) {
+  const AggregationPlan& plan = *job.plan;
+  const ParticleBuffer& local = job.local;
+  const int rank = job.rank;
   // On the aligned fast path the single bin is the whole local buffer;
   // materializing it is deferred until we know whether it must travel at
   // all (a self-aggregated buffer is never copied into a message).
-  int fast_partition = -1;
-  if (fast_path && !local.empty())
-    fast_partition = plan.partitioning().partition_of_point(local.position(0));
-  writer_detail::BinnedParticles bins;
-  if (!fast_path) bins = writer_detail::bin_particles(local, plan, false);
+  if (job.fast_path && !local.empty())
+    job.fast_partition =
+        plan.partitioning().partition_of_point(local.position(0));
+  if (!job.fast_path)
+    job.bins = writer_detail::bin_particles(local, plan, false);
 
   // A bin must never target a partition outside the plan's target set —
   // that aggregator would not expect our message.
@@ -534,8 +494,8 @@ void write_dataset_impl(simmpi::Comm& comm, const PatchDecomposition& decomp,
                        << " outside its plan target set; particles stray "
                           "outside the declared patch/extent");
   };
-  if (fast_partition >= 0) check_target(fast_partition);
-  for (const int p : bins.partitions) check_target(p);
+  if (job.fast_partition >= 0) check_target(job.fast_partition);
+  for (const int p : job.bins.partitions) check_target(p);
 
   // Send a count to the aggregator of every partition we *might* feed
   // (the plan's conservative target set), so receivers can post a matching
@@ -543,53 +503,50 @@ void write_dataset_impl(simmpi::Comm& comm, const PatchDecomposition& decomp,
   std::vector<faultsim::Outbound> count_msgs;
   for (const int p : plan.targets_of(rank)) {
     std::uint64_t count = 0;
-    if (p == fast_partition) {
+    if (p == job.fast_partition) {
       count = local.size();
     } else {
-      const int b = bins.index_of(p);
-      if (b >= 0) count = bins.counts[static_cast<std::size_t>(b)];
+      const int b = job.bins.index_of(p);
+      if (b >= 0) count = job.bins.counts[static_cast<std::size_t>(b)];
     }
     BinaryWriter w;
     w.write<std::uint64_t>(count);
     count_msgs.push_back({plan.aggregator_of(p), w.take()});
   }
 
-  const int my_partition = plan.partition_owned_by(rank);
-  const std::vector<int> count_senders =
-      my_partition >= 0 ? plan.senders_of(my_partition) : std::vector<int>{};
+  job.my_partition = plan.partition_owned_by(rank);
+  if (job.my_partition >= 0)
+    job.count_senders = plan.senders_of(job.my_partition);
   const auto count_payloads =
-      exchange(std::move(count_msgs), count_senders, kTagMeta);
+      exchange(job, std::move(count_msgs), job.count_senders, kTagMeta);
 
-  std::vector<std::uint64_t> incoming_counts(count_senders.size());
-  std::uint64_t incoming_total = 0;
-  if (my_partition >= 0) {
-    for (std::size_t i = 0; i < count_senders.size(); ++i) {
-      BinaryReader r(count_payloads[i]);
-      incoming_counts[i] = r.read<std::uint64_t>();
-      SPIO_CHECK(r.remaining() == 0, FormatError,
-                 "count message from rank " << count_senders[i]
-                                            << " carries trailing bytes");
-      incoming_total += incoming_counts[i];
-    }
-    // The metadata exchange is exactly what lets the aggregator size its
-    // buffer *before* any data moves — so an infeasible aggregation can
-    // be rejected here instead of running out of memory mid-exchange.
-    const std::uint64_t need = incoming_total * local.record_size();
-    SPIO_CHECK(config.max_aggregation_bytes == 0 ||
-                   need <= config.max_aggregation_bytes,
-               ConfigError,
-               "aggregator " << rank << " (partition " << my_partition
-                             << ") would need " << need
-                             << " bytes, over the configured limit of "
-                             << config.max_aggregation_bytes
-                             << "; use a smaller partition factor");
+  job.incoming_counts.assign(job.count_senders.size(), 0);
+  if (job.my_partition < 0) return;
+  for (std::size_t i = 0; i < job.count_senders.size(); ++i) {
+    BinaryReader r(count_payloads[i]);
+    job.incoming_counts[i] = r.read<std::uint64_t>();
+    SPIO_CHECK(r.remaining() == 0, FormatError,
+               "count message from rank " << job.count_senders[i]
+                                          << " carries trailing bytes");
+    job.incoming_total += job.incoming_counts[i];
   }
-  stats.meta_exchange_seconds = seconds_since(t0);
+  // The metadata exchange is exactly what lets the aggregator size its
+  // buffer *before* any data moves — so an infeasible aggregation can be
+  // rejected here instead of running out of memory mid-exchange.
+  const std::uint64_t limit = job.config.max_aggregation_bytes;
+  const std::uint64_t need = job.incoming_total * local.record_size();
+  SPIO_CHECK(limit == 0 || need <= limit, ConfigError,
+             "aggregator " << rank << " (partition " << job.my_partition
+                           << ") would need " << need
+                           << " bytes, over the configured limit of " << limit
+                           << "; use a smaller partition factor");
+}
 
-  // ---- steps 4 + 5: allocate aggregation buffer, exchange particles ----
-  enter_phase(faultsim::WritePhase::kParticleExchange);
-  phase.begin("write.particle_exchange");
-  t0 = Clock::now();
+/// Steps 4 + 5: allocate the aggregation buffer, exchange particles.
+void exchange_particles(WriteJob& job) {
+  const AggregationPlan& plan = *job.plan;
+  const ParticleBuffer& local = job.local;
+  const int rank = job.rank;
   // Self-send elision: a bin whose aggregator is this rank is spliced
   // into the aggregation buffer directly instead of looping through the
   // mailbox. Disabled under fault injection so scripted transport faults
@@ -599,33 +556,34 @@ void write_dataset_impl(simmpi::Comm& comm, const PatchDecomposition& decomp,
   std::vector<std::byte> self_owned;  // keeps a general-path self bin alive
 
   std::vector<faultsim::Outbound> particle_msgs;
-  if (fast_partition >= 0) {
-    const int agg = plan.aggregator_of(fast_partition);
-    if (agg == rank && !config.faults) {
+  if (job.fast_partition >= 0) {
+    const int agg = plan.aggregator_of(job.fast_partition);
+    if (agg == rank && !job.config.faults) {
       // The whole local buffer stays home: no copy, no message.
       self_elided = true;
       self_bytes = local.bytes();
     } else {
       if (agg != rank) {
-        stats.particles_sent += local.size();
-        stats.bytes_sent += local.byte_size();
+        job.stats.particles_sent += local.size();
+        job.stats.bytes_sent += local.byte_size();
       }
       particle_msgs.push_back({agg, std::vector<std::byte>(
                                         local.bytes().begin(),
                                         local.bytes().end())});
     }
   }
+  writer_detail::BinnedParticles& bins = job.bins;
   for (std::size_t b = 0; b < bins.bin_count(); ++b) {
     const int agg = plan.aggregator_of(bins.partitions[b]);
-    if (agg == rank && !config.faults) {
+    if (agg == rank && !job.config.faults) {
       self_elided = true;
       self_owned = std::move(bins.payloads[b]);
       self_bytes = self_owned;
       continue;
     }
     if (agg != rank) {
-      stats.particles_sent += bins.counts[b];
-      stats.bytes_sent += bins.payloads[b].size();
+      job.stats.particles_sent += bins.counts[b];
+      job.stats.bytes_sent += bins.payloads[b].size();
     }
     particle_msgs.push_back({agg, std::move(bins.payloads[b])});
   }
@@ -633,19 +591,19 @@ void write_dataset_impl(simmpi::Comm& comm, const PatchDecomposition& decomp,
   // Only senders that announced a non-zero count actually ship data; an
   // elided self-send never enters the mailbox, so it is not expected.
   std::vector<int> particle_senders;
-  for (std::size_t i = 0; i < count_senders.size(); ++i) {
-    if (incoming_counts[i] == 0) continue;
-    if (self_elided && count_senders[i] == rank) continue;
-    particle_senders.push_back(count_senders[i]);
+  for (std::size_t i = 0; i < job.count_senders.size(); ++i) {
+    if (job.incoming_counts[i] == 0) continue;
+    if (self_elided && job.count_senders[i] == rank) continue;
+    particle_senders.push_back(job.count_senders[i]);
   }
 
-  ParticleBuffer aggregated(local.schema());
   // Deterministic assembly order (ascending sender rank, the elided local
   // payload spliced at this rank's ordinal) makes the aggregated buffer —
   // and therefore the shuffled file — reproducible and byte-identical to
   // the pre-elision protocol.
+  ParticleBuffer& aggregated = job.aggregated;
   auto particle_payloads =
-      exchange(std::move(particle_msgs), particle_senders, kTagData);
+      exchange(job, std::move(particle_msgs), particle_senders, kTagData);
   if (particle_payloads.size() == 1 && !self_elided) {
     // Single remote contributor: adopt the payload, zero copies.
     aggregated.adopt_bytes(std::move(particle_payloads[0]));
@@ -654,7 +612,7 @@ void write_dataset_impl(simmpi::Comm& comm, const PatchDecomposition& decomp,
     // Sole contributor is this rank's own general-path bin: adopt it.
     aggregated.adopt_bytes(std::move(self_owned));
   } else {
-    aggregated.reserve(incoming_total);
+    aggregated.reserve(job.incoming_total);
     std::size_t next = 0;
     bool spliced = !self_elided;
     for (const int s : particle_senders) {
@@ -666,233 +624,252 @@ void write_dataset_impl(simmpi::Comm& comm, const PatchDecomposition& decomp,
     }
     if (!spliced) aggregated.append_bytes(self_bytes);
   }
-  if (my_partition >= 0) {
-    SPIO_CHECK(aggregated.size() == incoming_total, FormatError,
+  if (job.my_partition >= 0) {
+    SPIO_CHECK(aggregated.size() == job.incoming_total, FormatError,
                "aggregator " << rank << " assembled " << aggregated.size()
                              << " particles but metadata promised "
-                             << incoming_total);
+                             << job.incoming_total);
   }
-  stats.particle_exchange_seconds = seconds_since(t0);
+}
 
-  // ---- step 6: LOD re-ordering ----
-  phase.begin("write.reorder");
-  t0 = Clock::now();
-  if (!aggregated.empty()) {
-    lod_reorder(aggregated,
-                stream_seed(config.shuffle_seed,
-                            static_cast<std::uint64_t>(my_partition)),
-                config.heuristic);
-  }
-  stats.reorder_seconds = seconds_since(t0);
+/// Step 6: LOD re-ordering.
+void reorder(WriteJob& job) {
+  if (job.aggregated.empty()) return;
+  lod_reorder(job.aggregated,
+              stream_seed(job.config.shuffle_seed,
+                          static_cast<std::uint64_t>(job.my_partition)),
+              job.config.heuristic);
+}
 
-  // ---- step 7: write the data file ----
-  enter_phase(faultsim::WritePhase::kDataWrite);
-  phase.begin("write.file_io");
-  t0 = Clock::now();
-  FileRecord my_record;
-  std::uint64_t my_crc = 0;
-  std::vector<FieldRange> my_zones;
-  bool have_file = false;
-  if (my_partition >= 0 && !aggregated.empty()) {
-    my_record.partition_id = static_cast<std::uint32_t>(my_partition);
-    my_record.aggregator_rank = static_cast<std::uint32_t>(rank);
-    my_record.particle_count = aggregated.size();
-    my_record.bounds = plan.partitioning().partition_box(my_partition);
-    if (config.write_zone_maps) {
-      // One pass produces both artifacts: the per-LOD-level zone table
-      // and, as the union of its zones, the file-level field ranges.
-      my_zones = compute_zone_maps(aggregated, config.lod);
-      if (config.write_field_ranges) {
-        std::size_t rcount = 0;
-        for (const FieldDesc& fd : local.schema().fields())
-          rcount += fd.components;
-        my_record.field_ranges = zone_union(my_zones, rcount);
-      }
-    } else if (config.write_field_ranges) {
-      my_record.field_ranges = writer_detail::compute_field_ranges(aggregated);
-    }
-    const auto path = config.dir / my_record.file_name();
-    if (config.faults) {
-      // Validated write: read back, compare checksums, rewrite torn or
-      // corrupted attempts within a bounded budget.
-      my_crc = faultsim::checked_write_file(path, aggregated.bytes(),
-                                            config.faults, rank);
-    } else if (config.write_checksums) {
-      // The CRC streams alongside the write — one pass over the buffer
-      // instead of a checksum scan followed by a write scan.
-      my_crc = crc64_write_file(path, aggregated.bytes());
-    } else {
-      write_file(path, aggregated.bytes());
-    }
-    stats.particles_written = aggregated.size();
-    stats.bytes_written = aggregated.byte_size();
-    stats.files_written = 1;
-    stats.was_aggregator = true;
-    have_file = true;
+/// Step 7: write this aggregator's data file, CRC'd as it streams out.
+void write_data_file(WriteJob& job) {
+  const WriterConfig& config = job.config;
+  const ParticleBuffer& aggregated = job.aggregated;
+  if (job.my_partition < 0 || aggregated.empty()) return;
+  FileRecord& rec = job.record;
+  rec.partition_id = static_cast<std::uint32_t>(job.my_partition);
+  rec.aggregator_rank = static_cast<std::uint32_t>(job.rank);
+  rec.particle_count = aggregated.size();
+  rec.bounds = job.plan->partitioning().partition_box(job.my_partition);
+  // One pass produces both artifacts: the per-LOD-level zone table and,
+  // as the union of its zones, the file-level field ranges.
+  job.zones = compute_zone_maps(aggregated, config.lod);
+  if (config.write_field_ranges) {
+    std::size_t rcount = 0;
+    for (const FieldDesc& fd : job.local.schema().fields())
+      rcount += fd.components;
+    rec.field_ranges = zone_union(job.zones, rcount);
   }
-  stats.file_io_seconds = seconds_since(t0);
+  const auto path = config.dir / rec.file_name();
+  // Under fault injection: read back, compare checksums, rewrite torn or
+  // corrupted attempts within a bounded budget. Otherwise the CRC streams
+  // alongside the write — one pass over the buffer, not two.
+  job.crc = config.faults
+                ? faultsim::checked_write_file(path, aggregated.bytes(),
+                                               config.faults, job.rank)
+                : crc64_write_file(path, aggregated.bytes());
+  job.stats.particles_written = aggregated.size();
+  job.stats.bytes_written = aggregated.byte_size();
+  job.stats.files_written = 1;
+  job.stats.was_aggregator = true;
+}
 
-  // ---- step 8: gather bounds on rank 0, write the spatial metadata ----
-  enter_phase(faultsim::WritePhase::kCommit);
-  phase.begin("write.metadata_io");
-  t0 = Clock::now();
-  // Per-partition load balance (the paper's §6 adaptive-aggregation
-  // motivation): rank 0 measures it at the commit point, where the
-  // per-file particle counts are in hand.
-  std::uint64_t lb_max = 0;
-  double lb_mean = 0;
-  double lb_imbalance = 0;
-  BinaryWriter record_bytes;
-  if (have_file) {
-    my_record.serialize(record_bytes, config.write_spatial_metadata,
-                        config.write_field_ranges);
-    // The file checksum rides the gather wire format (it never enters the
-    // frozen meta.spio layout; rank 0 splits it into checksums.spio).
-    record_bytes.write<std::uint64_t>(my_crc);
-    if (config.write_zone_maps) {
-      // The zone table rides the same wire; rank 0 splits it into
-      // zones.spio. Count first so the reader can size the blob.
-      record_bytes.write<std::uint32_t>(
-          zone_file_count(config.lod, my_record.particle_count));
-      for (const FieldRange& z : my_zones) {
-        record_bytes.write<double>(z.min);
-        record_bytes.write<double>(z.max);
-      }
-    }
+/// This rank's entry in the commit gather (empty when it wrote no file):
+/// its file record, then the file's CRC and zone table. Those two ride
+/// the same wire but never enter the frozen meta.spio layout; rank 0
+/// splits them into checksums.spio and zones.spio.
+std::vector<std::byte> encode_commit_entry(const WriteJob& job) {
+  BinaryWriter w;
+  if (job.stats.files_written == 0) return w.take();
+  const WriterConfig& config = job.config;
+  job.record.serialize(w, config.write_spatial_metadata,
+                       config.write_field_ranges);
+  w.write<std::uint64_t>(job.crc);
+  // Zone count first so rank 0 can size the blob.
+  w.write<std::uint32_t>(
+      zone_file_count(config.lod, job.record.particle_count));
+  for (const FieldRange& z : job.zones) {
+    w.write<double>(z.min);
+    w.write<double>(z.max);
   }
-  const auto gathered = comm.allgatherv<std::byte>(record_bytes.bytes());
-  if (rank == 0) {
-    DatasetMetadata meta;
-    meta.schema = local.schema();
-    meta.domain = decomp.domain();
-    meta.lod = config.lod;
-    meta.heuristic = config.heuristic;
-    meta.has_bounds = config.write_spatial_metadata;
-    meta.has_field_ranges = config.write_field_ranges;
-    std::vector<ChecksumTable::Entry> crcs;
-    ZoneMapTable zone_table;
-    zone_table.range_count = meta.range_count();
-    zone_table.lod = config.lod;
-    for (const auto& from_rank : gathered) {
-      if (from_rank.empty()) continue;
-      BinaryReader r(from_rank);
-      const FileRecord f = FileRecord::deserialize(
-          r, meta.has_bounds, meta.has_field_ranges, meta.range_count());
-      crcs.push_back({f.aggregator_rank, r.read<std::uint64_t>()});
-      if (config.write_zone_maps) {
-        FileZones fz;
-        fz.aggregator_rank = f.aggregator_rank;
-        fz.particle_count = f.particle_count;
-        const auto nz = r.read<std::uint32_t>();
-        fz.zones.resize(std::size_t{nz} * meta.range_count());
-        for (FieldRange& z : fz.zones) {
-          z.min = r.read<double>();
-          z.max = r.read<double>();
-        }
-        zone_table.files.push_back(std::move(fz));
-      }
-      meta.total_particles += f.particle_count;
-      meta.files.push_back(f);
+  return w.take();
+}
+
+/// Per-partition load balance over the committed files (the paper's §6
+/// adaptive-aggregation motivation), mirrored into the
+/// `write.partition_*` gauges.
+obs::WriteRunInfo::LoadBalance measure_load_balance(
+    const std::vector<FileRecord>& files) {
+  obs::WriteRunInfo::LoadBalance lb;
+  if (files.empty()) return lb;
+  std::uint64_t sum = 0;
+  for (const FileRecord& f : files) {
+    lb.partition_particles_max =
+        std::max(lb.partition_particles_max, f.particle_count);
+    sum += f.particle_count;
+  }
+  lb.partition_particles_mean =
+      static_cast<double>(sum) / static_cast<double>(files.size());
+  lb.imbalance = lb.partition_particles_mean > 0
+                     ? static_cast<double>(lb.partition_particles_max) /
+                           lb.partition_particles_mean
+                     : 0.0;
+  if (obs::enabled()) {
+    auto& reg = obs::MetricsRegistry::global();
+    reg.gauge("write.partition_particles_max")
+        .set(static_cast<double>(lb.partition_particles_max));
+    reg.gauge("write.partition_particles_mean")
+        .set(lb.partition_particles_mean);
+    reg.gauge("write.partition_imbalance").set(lb.imbalance);
+  }
+  return lb;
+}
+
+/// Rank 0: decode every rank's commit entry and lay down checksums.spio
+/// and zones.spio, then meta.spio (the commit point), then close the
+/// journal. The sidecars land first so a metadata file never vouches for
+/// a sidecar that a crash kept from reaching the disk.
+void save_metadata(WriteJob& job,
+                   const std::vector<std::vector<std::byte>>& gathered) {
+  const WriterConfig& config = job.config;
+  DatasetMetadata meta;
+  meta.schema = job.local.schema();
+  meta.domain = job.decomp.domain();
+  meta.lod = config.lod;
+  meta.heuristic = config.heuristic;
+  meta.has_bounds = config.write_spatial_metadata;
+  meta.has_field_ranges = config.write_field_ranges;
+  ChecksumTable checksums;
+  ZoneMapTable zone_table;
+  zone_table.range_count = meta.range_count();
+  zone_table.lod = config.lod;
+  for (const auto& from_rank : gathered) {
+    if (from_rank.empty()) continue;
+    BinaryReader r(from_rank);
+    const FileRecord f = FileRecord::deserialize(
+        r, meta.has_bounds, meta.has_field_ranges, meta.range_count());
+    checksums.entries.push_back({f.aggregator_rank, r.read<std::uint64_t>()});
+    FileZones fz;
+    fz.aggregator_rank = f.aggregator_rank;
+    fz.particle_count = f.particle_count;
+    fz.zones.resize(std::size_t{r.read<std::uint32_t>()} *
+                    meta.range_count());
+    for (FieldRange& z : fz.zones) {
+      z.min = r.read<double>();
+      z.max = r.read<double>();
     }
-    std::sort(meta.files.begin(), meta.files.end(),
-              [](const FileRecord& a, const FileRecord& b) {
-                return a.partition_id < b.partition_id;
+    zone_table.files.push_back(std::move(fz));
+    meta.total_particles += f.particle_count;
+    meta.files.push_back(f);
+  }
+  std::sort(meta.files.begin(), meta.files.end(),
+            [](const FileRecord& a, const FileRecord& b) {
+              return a.partition_id < b.partition_id;
+            });
+  job.balance = measure_load_balance(meta.files);
+
+  std::sort(checksums.entries.begin(), checksums.entries.end(),
+            [](const ChecksumTable::Entry& a, const ChecksumTable::Entry& b) {
+              return a.aggregator_rank < b.aggregator_rank;
+            });
+  checksums.save(config.dir);
+  meta.has_zone_maps = !meta.files.empty();
+  if (meta.has_zone_maps) {
+    std::sort(zone_table.files.begin(), zone_table.files.end(),
+              [](const FileZones& a, const FileZones& b) {
+                return a.aggregator_rank < b.aggregator_rank;
               });
-    if (!meta.files.empty()) {
-      std::uint64_t sum = 0;
-      for (const FileRecord& f : meta.files) {
-        lb_max = std::max(lb_max, f.particle_count);
-        sum += f.particle_count;
-      }
-      lb_mean = static_cast<double>(sum) /
-                static_cast<double>(meta.files.size());
-      lb_imbalance =
-          lb_mean > 0 ? static_cast<double>(lb_max) / lb_mean : 0.0;
-      if (obs::enabled()) {
-        auto& reg = obs::MetricsRegistry::global();
-        reg.gauge("write.partition_particles_max")
-            .set(static_cast<double>(lb_max));
-        reg.gauge("write.partition_particles_mean").set(lb_mean);
-        reg.gauge("write.partition_imbalance").set(lb_imbalance);
-      }
+    if (config.faults) {
+      // Under fault injection the sidecar takes the same validated write
+      // as the data files, so torn/corrupt-write schedules can target
+      // `zones.spio` too.
+      faultsim::checked_write_file(config.dir / ZoneMapTable::kFileName,
+                                   zone_table.serialize(), config.faults,
+                                   job.rank);
+    } else {
+      zone_table.save(config.dir);
     }
-    if (config.write_checksums) {
-      std::sort(crcs.begin(), crcs.end(),
-                [](const ChecksumTable::Entry& a,
-                   const ChecksumTable::Entry& b) {
-                  return a.aggregator_rank < b.aggregator_rank;
-                });
-      ChecksumTable table;
-      table.entries = std::move(crcs);
-      table.save(config.dir);
-    }
-    meta.has_zone_maps = config.write_zone_maps && !meta.files.empty();
-    if (meta.has_zone_maps) {
-      std::sort(zone_table.files.begin(), zone_table.files.end(),
-                [](const FileZones& a, const FileZones& b) {
-                  return a.aggregator_rank < b.aggregator_rank;
-                });
-      // Like checksums.spio: the sidecar lands before the commit point,
-      // so a metadata file never vouches for a zone table that a crash
-      // kept from reaching the disk.
-      if (config.faults) {
-        // Under fault injection the sidecar takes the same validated
-        // write as the data files, so torn/corrupt-write schedules can
-        // target `zones.spio` too.
-        faultsim::checked_write_file(config.dir / ZoneMapTable::kFileName,
-                                     zone_table.serialize(), config.faults,
-                                     rank);
-      } else {
-        zone_table.save(config.dir);
-      }
-    }
-    // meta.spio is the commit point; the journal closes only after it.
-    meta.save(config.dir);
-    if (config.journal) WriteJournal::commit(config.dir);
-    obs::log::Event(obs::log::Level::kInfo, "write.commit")
-        .kv("dir", config.dir.string())
-        .kv("particles", meta.total_particles)
-        .kv("files", static_cast<std::uint64_t>(meta.files.size()))
-        .kv("imbalance", lb_imbalance);
   }
-  // The write is complete (data + metadata) only once every rank returns.
-  comm.barrier();
-  stats.metadata_io_seconds = seconds_since(t0);
-  phase.end();
-  whole_span.end();
-  publish_write_stats(stats);
+  // meta.spio is the commit point; the journal closes only after it.
+  meta.save(config.dir);
+  WriteJournal::commit(config.dir);
+  obs::log::Event(obs::log::Level::kInfo, "write.commit")
+      .kv("dir", config.dir.string())
+      .kv("particles", meta.total_particles)
+      .kv("files", static_cast<std::uint64_t>(meta.files.size()))
+      .kv("imbalance", job.balance.imbalance);
+}
 
-  if (record_run) {
-    // Gather every rank's stats so rank 0 can lay down the Darshan-style
-    // run record next to the dataset. All ranks take the same branch (see
-    // record_run above), so the extra collective is uniform.
-    static_assert(std::is_trivially_copyable_v<WriteStats>);
-    const std::vector<WriteStats> all = comm.gather<WriteStats>(stats, 0);
-    if (rank == 0) {
-      obs::WriteRunInfo info;
-      info.ranks = comm.size();
-      info.schema_bytes = local.record_size();
-      info.partition_count = stats.partition_count;
-      info.config = config_echo(config);
-      for (int r = 0; r < comm.size(); ++r) {
-        const WriteStats& s = all[static_cast<std::size_t>(r)];
-        info.phases.push_back({r, s.setup_seconds, s.meta_exchange_seconds,
-                               s.particle_exchange_seconds, s.reorder_seconds,
-                               s.file_io_seconds, s.metadata_io_seconds});
-        info.totals.particles_sent += s.particles_sent;
-        info.totals.bytes_sent += s.bytes_sent;
-        info.totals.particles_written += s.particles_written;
-        info.totals.bytes_written += s.bytes_written;
-        info.totals.files_written +=
-            static_cast<std::uint64_t>(s.files_written);
-      }
-      info.load_balance.partition_particles_max = lb_max;
-      info.load_balance.partition_particles_mean = lb_mean;
-      info.load_balance.imbalance = lb_imbalance;
-      obs::save_write_record(config.dir, info,
-                             obs::MetricsRegistry::global().snapshot());
-    }
+/// Step 8: gather every file's record on rank 0 and commit the metadata.
+/// The write is complete (data + metadata) only once every rank returns.
+void commit_metadata(WriteJob& job) {
+  const auto gathered =
+      job.comm.allgatherv<std::byte>(encode_commit_entry(job));
+  if (job.rank == 0) save_metadata(job, gathered);
+  job.comm.barrier();
+}
+
+/// Gather every rank's stats so rank 0 can lay down the Darshan-style run
+/// record next to the dataset. Every rank of the job runs this or none
+/// does (see run_pipeline), so the extra collective is uniform.
+void save_run_record(const WriteJob& job) {
+  static_assert(std::is_trivially_copyable_v<WriteStats>);
+  const std::vector<WriteStats> all =
+      job.comm.gather<WriteStats>(job.stats, 0);
+  if (job.rank != 0) return;
+  obs::WriteRunInfo info;
+  info.ranks = job.comm.size();
+  info.schema_bytes = job.local.record_size();
+  info.partition_count = job.stats.partition_count;
+  info.config = config_echo(job.config);
+  for (int r = 0; r < job.comm.size(); ++r) {
+    const WriteStats& s = all[static_cast<std::size_t>(r)];
+    obs::RankPhaseRow row{r, {}};
+    for (const WritePhaseInfo& p : kWritePhases)
+      row.seconds.emplace_back(p.key, s.*p.seconds);
+    info.phases.push_back(std::move(row));
+    info.totals.particles_sent += s.particles_sent;
+    info.totals.bytes_sent += s.bytes_sent;
+    info.totals.particles_written += s.particles_written;
+    info.totals.bytes_written += s.bytes_written;
+    info.totals.files_written += static_cast<std::uint64_t>(s.files_written);
   }
+  info.load_balance = job.balance;
+  obs::save_write_record(job.config.dir, info,
+                         obs::MetricsRegistry::global().snapshot());
+}
+
+/// The pipeline's stages, paired index by index with `kWritePhases`.
+using Stage = void (*)(WriteJob&);
+constexpr std::array<Stage, kWritePhases.size()> kStages = {
+    plan_aggregation, exchange_counts, exchange_particles,
+    reorder,          write_data_file, commit_metadata};
+
+/// Run one stage as its phase: announce the phase's fault site (if any),
+/// open its span and store its wall seconds in the phase's stats member.
+void run_stage(WriteJob& job, obs::PhaseSpan& span,
+               const WritePhaseInfo& phase, Stage stage) {
+  if (phase.fault_phase) enter_phase(job, *phase.fault_phase);
+  span.begin(phase.span);
+  const auto t0 = Clock::now();
+  stage(job);
+  job.stats.*phase.seconds = seconds_since(t0);
+}
+
+void run_pipeline(WriteJob& job) {
+  // simmpi ranks are threads of one process, so every rank observes the
+  // same collection state and agrees on the run-record collective
+  // without a broadcast.
+  const bool record_run = obs::run_records_enabled();
+  obs::ScopedSpan whole_span("write.dataset", "writer");
+  obs::PhaseSpan span("writer");
+  open_dataset(job);
+  for (std::size_t i = 0; i < kStages.size(); ++i)
+    run_stage(job, span, kWritePhases[i], kStages[i]);
+  span.end();
+  whole_span.end();
+  publish_write_stats(job.stats);
+  if (record_run) save_run_record(job);
 }
 
 }  // namespace
@@ -912,11 +889,10 @@ WriteStats write_dataset(simmpi::Comm& comm, const PatchDecomposition& decomp,
                                   << " patches for a job of " << comm.size()
                                   << " ranks");
 
-  WriteStats stats;
-  faultsim::WritePhase cur_phase = faultsim::WritePhase::kSetup;
+  WriteJob job(comm, decomp, local, config);
   try {
-    write_dataset_impl(comm, decomp, local, config, stats, cur_phase);
-    return stats;
+    run_pipeline(job);
+    return job.stats;
   } catch (const simmpi::Aborted&) {
     // Secondary casualty of another rank's failure: that rank owns the
     // postmortem; dumping here would overwrite it with less context.
@@ -925,8 +901,8 @@ WriteStats write_dataset(simmpi::Comm& comm, const PatchDecomposition& decomp,
     // A failure before rank 0 created the directory has nowhere to dump.
     std::error_code ec;
     if (std::filesystem::is_directory(config.dir, ec))
-      dump_write_postmortem(config, stats, comm.size(), comm.rank(),
-                            cur_phase, e.what());
+      dump_write_postmortem(config, job.stats, comm.size(), comm.rank(),
+                            job.phase, e.what());
     throw;
   }
 }

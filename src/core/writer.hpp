@@ -1,25 +1,31 @@
 #pragma once
 
 /// \file writer.hpp
-/// The spatially-aware two-phase write pipeline (paper §3):
+/// The spatially-aware two-phase write pipeline (paper §3), run as one
+/// named stage per phase of `kWritePhases`:
 ///
-///   1. set up the aggregation grid          (§3.1)
-///   2. select aggregators                   (§3.2)
-///   3. exchange metadata (particle counts)  (§3.3)
-///   4. allocate aggregation buffers         (§3.3)
-///   5. exchange particles                   (§3.3)
-///   6. re-order particles into LOD order    (§3.4)
-///   7. write one data file per partition    (§3.4)
-///   8. gather bounds and write the spatial metadata file (§3.5)
+///   plan_aggregation    set up the grid, select aggregators  (§3.1–3.2)
+///   exchange_counts     exchange particle counts             (§3.3)
+///   exchange_particles  size the buffers, exchange particles (§3.3)
+///   reorder             re-order particles into LOD order    (§3.4)
+///   write_data_file     write one data file per partition    (§3.4)
+///   commit_metadata     gather bounds, write the metadata    (§3.5)
 ///
 /// The adaptive variant (§6) prepends an all-to-all extent exchange and
 /// builds the grid over the occupied sub-region only.
+///
+/// Every write brackets the dataset with `write.journal`, CRCs each data
+/// file into `checksums.spio` and records per-level zone maps in
+/// `zones.spio` (docs/FORMAT.md).
 
+#include <array>
 #include <filesystem>
+#include <optional>
 
 #include "core/aggregation_plan.hpp"
 #include "core/lod.hpp"
 #include "core/metadata.hpp"
+#include "faultsim/fault_plan.hpp"
 #include "faultsim/reliable.hpp"
 #include "simmpi/comm.hpp"
 #include "workload/decomposition.hpp"
@@ -39,7 +45,8 @@ namespace spio {
 /// user-facing tuning knob; the paper's §5 sweeps it per machine.
 struct WriterConfig {
   /// Dataset directory; created if absent. One data file per non-empty
-  /// aggregation partition plus `meta.spio` are written into it.
+  /// aggregation partition plus `meta.spio`, `zones.spio` and
+  /// `checksums.spio` are written into it.
   std::filesystem::path dir;
 
   /// Aggregation partition factor (Px, Py, Pz).
@@ -66,15 +73,6 @@ struct WriterConfig {
   /// (§3.5 extension), enabling attribute range queries that skip files.
   bool write_field_ranges = true;
 
-  /// Write the `zones.spio` sidecar: per-file, per-LOD-level min/max of
-  /// every field component (query_plan/zone_map.hpp), computed during
-  /// the reorder phase at near-zero extra cost. Lets the query planner
-  /// skip whole files and LOD tails that provably contain no matches.
-  bool write_zone_maps = true;
-
-  /// Aggregator placement policy (ablation; the paper uses uniform).
-  AggregatorPlacement placement = AggregatorPlacement::kUniform;
-
   /// Base seed for the deterministic LOD shuffles (per-partition streams
   /// are derived from it).
   std::uint64_t shuffle_seed = 0x5910f00d;
@@ -90,14 +88,6 @@ struct WriterConfig {
   /// `ConfigError` naming the partition and suggesting a smaller factor.
   std::uint64_t max_aggregation_bytes = 0;
 
-  /// Bracket the write with `write.journal` so an interrupted job leaves
-  /// a detectable (and repairable) state; see core/journal.hpp.
-  bool journal = true;
-
-  /// Record per-file CRC-64 checksums in the `checksums.spio` sidecar,
-  /// letting readers detect silent data corruption.
-  bool write_checksums = true;
-
   /// Fault injector for chaos testing (not owned; null in production).
   /// When set, the writer announces phase entries to it, routes both
   /// exchanges through the acknowledged retry protocol, and validates
@@ -107,25 +97,19 @@ struct WriterConfig {
   /// Retransmission policy for the reliable exchanges (used only when
   /// `faults` is set).
   faultsim::RetryPolicy retry{};
-
-  /// Emit the Darshan-style `trace.spio.json` run record next to the
-  /// dataset (config, per-rank phase seconds, counter dump). Effective
-  /// only while the observability layer is collecting
-  /// (`obs::run_records_enabled()`), so default runs leave the dataset
-  /// directory byte-identical to earlier releases.
-  bool run_record = true;
 };
 
 /// Per-rank timing and volume statistics for one write. Times are wall
-/// clock on this rank; reduce across ranks with `WriteStats::max_over`.
+/// clock on this rank, one per phase of `kWritePhases`; reduce across
+/// ranks with `WriteStats::max_over`.
 struct WriteStats {
   double setup_seconds = 0;              // plan/grid construction (+ extent
                                          // all-to-all when adaptive)
-  double meta_exchange_seconds = 0;      // step 3
-  double particle_exchange_seconds = 0;  // steps 4–5
-  double reorder_seconds = 0;            // step 6
-  double file_io_seconds = 0;            // step 7
-  double metadata_io_seconds = 0;        // step 8
+  double meta_exchange_seconds = 0;
+  double particle_exchange_seconds = 0;
+  double reorder_seconds = 0;
+  double file_io_seconds = 0;
+  double metadata_io_seconds = 0;
 
   std::uint64_t particles_sent = 0;  // shipped to a *different* rank
   std::uint64_t bytes_sent = 0;
@@ -137,10 +121,7 @@ struct WriteStats {
   bool used_aligned_fast_path = false;
 
   /// Total wall time of the phases above.
-  double total_seconds() const {
-    return setup_seconds + meta_exchange_seconds + particle_exchange_seconds +
-           reorder_seconds + file_io_seconds + metadata_io_seconds;
-  }
+  double total_seconds() const;
 
   /// Aggregation-phase time (everything before file writes), the
   /// "Data aggregation" share of the paper's Fig. 6 breakdown.
@@ -152,6 +133,44 @@ struct WriteStats {
   /// Element-wise max of times, sum of volumes; the job-level view.
   static WriteStats max_over(const WriteStats& a, const WriteStats& b);
 };
+
+/// One phase of the write pipeline, and every name it goes by.
+struct WritePhaseInfo {
+  /// Phase key: the run record's `phase_seconds` column, the
+  /// `writer.<key>_us` counter and the postmortem's `<key>_seconds` field.
+  const char* key;
+  /// Trace span covering the phase.
+  const char* span;
+  /// Where the phase's wall seconds land.
+  double WriteStats::*seconds;
+  /// Phase announced to the fault injector on entry (scripted rank death);
+  /// none for phases that are not a fault site.
+  std::optional<faultsim::WritePhase> fault_phase;
+};
+
+/// The write pipeline's phases in execution order. Every per-phase view of
+/// a write (stats reductions, counters, run record, postmortem) is driven
+/// from this table.
+inline constexpr std::array<WritePhaseInfo, 6> kWritePhases = {{
+    {"setup", "write.setup", &WriteStats::setup_seconds,
+     faultsim::WritePhase::kSetup},
+    {"meta_exchange", "write.meta_exchange",
+     &WriteStats::meta_exchange_seconds, faultsim::WritePhase::kMetaExchange},
+    {"particle_exchange", "write.particle_exchange",
+     &WriteStats::particle_exchange_seconds,
+     faultsim::WritePhase::kParticleExchange},
+    {"reorder", "write.reorder", &WriteStats::reorder_seconds, std::nullopt},
+    {"file_io", "write.file_io", &WriteStats::file_io_seconds,
+     faultsim::WritePhase::kDataWrite},
+    {"metadata_io", "write.metadata_io", &WriteStats::metadata_io_seconds,
+     faultsim::WritePhase::kCommit},
+}};
+
+inline double WriteStats::total_seconds() const {
+  double sum = 0;
+  for (const WritePhaseInfo& p : kWritePhases) sum += this->*p.seconds;
+  return sum;
+}
 
 /// Collective: write `local` (this rank's particles, which must carry the
 /// schema shared by all ranks) as one spio dataset. Returns this rank's
@@ -193,11 +212,6 @@ BinnedParticles bin_particles(const ParticleBuffer& local,
 BinnedParticles bin_particles_reference(const ParticleBuffer& local,
                                         const AggregationPlan& plan,
                                         bool use_fast_path);
-
-/// Min/max of every field component over the aggregated particles (§3.5
-/// metadata extension), in one record-major pass over the AoS buffer.
-/// Precondition: non-empty buffer.
-std::vector<FieldRange> compute_field_ranges(const ParticleBuffer& buf);
 
 }  // namespace writer_detail
 

@@ -40,6 +40,18 @@ JsonValue fresh_document() {
   return doc;
 }
 
+JsonValue phase_rows_to_json(const std::vector<RankPhaseRow>& rows) {
+  JsonValue out = JsonValue::array();
+  for (const RankPhaseRow& p : rows) {
+    JsonValue row = JsonValue::object();
+    row.set("rank", JsonValue::number(std::int64_t{p.rank}));
+    for (const auto& [name, sec] : p.seconds)
+      row.set(name, JsonValue::number(sec));
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
 }  // namespace
 
 JsonValue metrics_to_json(const MetricsRegistry::Snapshot& snapshot) {
@@ -80,19 +92,7 @@ void save_write_record(const std::filesystem::path& dataset_dir,
   for (const auto& [k, v] : info.config) cfg.set(k, JsonValue::string(v));
   w.set("config", std::move(cfg));
 
-  JsonValue phases = JsonValue::array();
-  for (const WritePhaseSeconds& p : info.phases) {
-    JsonValue row = JsonValue::object();
-    row.set("rank", JsonValue::number(std::int64_t{p.rank}));
-    row.set("setup", JsonValue::number(p.setup));
-    row.set("meta_exchange", JsonValue::number(p.meta_exchange));
-    row.set("particle_exchange", JsonValue::number(p.particle_exchange));
-    row.set("reorder", JsonValue::number(p.reorder));
-    row.set("file_io", JsonValue::number(p.file_io));
-    row.set("metadata_io", JsonValue::number(p.metadata_io));
-    phases.push_back(std::move(row));
-  }
-  w.set("phase_seconds", std::move(phases));
+  w.set("phase_seconds", phase_rows_to_json(info.phases));
 
   JsonValue totals = JsonValue::object();
   totals.set("particles_sent", JsonValue::number(info.totals.particles_sent));
@@ -140,15 +140,7 @@ void save_read_record(const std::filesystem::path& dataset_dir,
   r.set("ranks", JsonValue::number(std::int64_t{info.ranks}));
   r.set("levels", JsonValue::number(std::int64_t{info.levels}));
 
-  JsonValue phases = JsonValue::array();
-  for (const ReadPhaseSeconds& p : info.phases) {
-    JsonValue row = JsonValue::object();
-    row.set("rank", JsonValue::number(std::int64_t{p.rank}));
-    row.set("file_io", JsonValue::number(p.file_io));
-    row.set("exchange", JsonValue::number(p.exchange));
-    phases.push_back(std::move(row));
-  }
-  r.set("phase_seconds", std::move(phases));
+  r.set("phase_seconds", phase_rows_to_json(info.phases));
 
   JsonValue totals = JsonValue::object();
   totals.set("files_opened", JsonValue::number(info.totals.files_opened));

@@ -14,7 +14,7 @@
 ///     "write": {
 ///       "ranks": 8, "schema_bytes": 124, "partition_count": 4,
 ///       "config": {"factor": "2x2x1", ...},
-///       "phase_seconds": [{"rank": 0, "setup": ..., ...}, ...],
+///       "phase_seconds": [{"rank": 0, "<phase>": seconds, ...}, ...],
 ///       "totals": {"bytes_written": ..., ...},
 ///       "counters": {"writer.bytes_written": ..., ...},
 ///       "environment": {"threads_as_ranks": true, ...}
@@ -30,6 +30,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -40,15 +41,13 @@ namespace spio::obs {
 /// File name of the run record inside a dataset directory.
 inline constexpr const char* kRunRecordFile = "trace.spio.json";
 
-/// One rank's write-pipeline phase seconds (mirrors `WriteStats` times).
-struct WritePhaseSeconds {
+/// One rank's row of a `phase_seconds` table: (phase name, seconds) pairs
+/// in the producer's phase order. The names belong to the producer (the
+/// writer's `kWritePhases`, the distributed reader's `ReadStats`), not to
+/// this layer.
+struct RankPhaseRow {
   int rank = 0;
-  double setup = 0;
-  double meta_exchange = 0;
-  double particle_exchange = 0;
-  double reorder = 0;
-  double file_io = 0;
-  double metadata_io = 0;
+  std::vector<std::pair<std::string, double>> seconds;
 };
 
 /// The writer's contribution to the record.
@@ -56,9 +55,9 @@ struct WriteRunInfo {
   int ranks = 0;
   std::uint64_t schema_bytes = 0;
   int partition_count = 0;
-  /// Flat config echo (factor, adaptive, lod, checksums, ...).
+  /// Flat config echo (factor, adaptive, lod, heuristic, ...).
   std::map<std::string, std::string> config;
-  std::vector<WritePhaseSeconds> phases;  // one entry per rank
+  std::vector<RankPhaseRow> phases;  // one entry per rank
   struct Totals {
     std::uint64_t particles_sent = 0;
     std::uint64_t bytes_sent = 0;
@@ -77,18 +76,11 @@ struct WriteRunInfo {
   } load_balance;
 };
 
-/// One rank's distributed-read phase seconds (mirrors `ReadStats`).
-struct ReadPhaseSeconds {
-  int rank = 0;
-  double file_io = 0;
-  double exchange = 0;
-};
-
 /// The reader's contribution to the record.
 struct ReadRunInfo {
   int ranks = 0;
   int levels = -1;
-  std::vector<ReadPhaseSeconds> phases;
+  std::vector<RankPhaseRow> phases;  // one entry per rank
   struct Totals {
     std::uint64_t files_opened = 0;
     std::uint64_t bytes_read = 0;

@@ -419,7 +419,9 @@ class Comm {
                "payload size " << b.size() << " not a multiple of element size "
                                << sizeof(T));
     std::vector<T> out(b.size() / sizeof(T));
-    std::memcpy(out.data(), b.data(), b.size());
+    // An empty payload may have a null data(), which memcpy must not see
+    // even for a zero-byte copy.
+    if (!b.empty()) std::memcpy(out.data(), b.data(), b.size());
     return out;
   }
 

@@ -94,7 +94,10 @@ class BinaryReader {
     static_assert(std::is_trivially_copyable_v<T>);
     require(count * sizeof(T));
     std::vector<T> out(count);
-    std::memcpy(out.data(), bytes_.data() + pos_, count * sizeof(T));
+    // Both pointers may be null when nothing is read; memcpy must not see
+    // them even for a zero-byte copy.
+    if (count != 0)
+      std::memcpy(out.data(), bytes_.data() + pos_, count * sizeof(T));
     pos_ += count * sizeof(T);
     return out;
   }

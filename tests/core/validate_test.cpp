@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/journal.hpp"
 #include "core/metadata.hpp"
 #include "core/writer.hpp"
 #include "simmpi/runtime.hpp"
@@ -18,7 +19,6 @@ TempDir write_sample(std::uint64_t per_rank = 200, bool checksums = true) {
   WriterConfig cfg;
   cfg.dir = dir.path();
   cfg.factor = {2, 1, 1};
-  cfg.write_checksums = checksums;
   simmpi::run(4, [&](simmpi::Comm& comm) {
     const auto local = workload::uniform(
         Schema::uintah(), decomp.patch(comm.rank()), per_rank,
@@ -26,6 +26,10 @@ TempDir write_sample(std::uint64_t per_rank = 200, bool checksums = true) {
         static_cast<std::uint64_t>(comm.rank()) * per_rank);
     write_dataset(comm, decomp, local, cfg);
   });
+  // Every write records checksums; dropping the sidecar leaves the state
+  // of a dataset written without them.
+  if (!checksums)
+    std::filesystem::remove(dir.path() / ChecksumTable::kFileName);
   return dir;
 }
 

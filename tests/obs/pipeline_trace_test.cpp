@@ -164,6 +164,30 @@ TEST_F(PipelineTrace, WriteCountersMatchWriteStatsExactly) {
   EXPECT_EQ(w.at("totals").at("files_written").as_u64(),
             static_cast<std::uint64_t>(job.files_written));
   EXPECT_EQ(w.at("config").at("factor").as_string(), "2x2x1");
+
+  // Every per-rank phase row holds exactly the rank plus the six phase
+  // columns that spio_trace and spio_inspect read, and per phase the rows
+  // sum to the `writer.<key>_us` counter. Each rank truncates its seconds
+  // to whole microseconds before adding to the counter, so the row sum may
+  // exceed the counter by less than one microsecond per rank.
+  static const char* kPhaseKeys[] = {
+      "setup",   "meta_exchange", "particle_exchange",
+      "reorder", "file_io",       "metadata_io"};
+  const obs::JsonValue& rows = w.at("phase_seconds");
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const obs::JsonValue& row = rows.at(r);
+    EXPECT_EQ(row.size(), 1u + std::size(kPhaseKeys)) << "rank " << r;
+    EXPECT_EQ(row.at("rank").as_i64(), static_cast<std::int64_t>(r));
+  }
+  for (const char* key : kPhaseKeys) {
+    double sum_us = 0;
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      sum_us += rows.at(r).at(key).as_double() * 1e6;
+    const std::string name = "writer." + std::string(key) + "_us";
+    const auto us = static_cast<double>(counter(name.c_str()));
+    EXPECT_GE(sum_us, us - 1e-3) << key;
+    EXPECT_LT(sum_us, us + kRanks) << key;
+  }
 }
 
 TEST_F(PipelineTrace, QueryCountersMatchReadStatsExactly) {

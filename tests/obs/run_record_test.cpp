@@ -18,15 +18,13 @@ WriteRunInfo sample_write_info() {
   info.config["factor"] = "2x1x1";
   info.config["adaptive"] = "false";
   for (int r = 0; r < 2; ++r) {
-    WritePhaseSeconds p;
-    p.rank = r;
-    p.setup = 0.5 + r;
-    p.meta_exchange = 0.25;
-    p.particle_exchange = 1.0;
-    p.reorder = 0.125;
-    p.file_io = 2.0;
-    p.metadata_io = 0.0625;
-    info.phases.push_back(p);
+    info.phases.push_back({r,
+                           {{"setup", 0.5 + r},
+                            {"meta_exchange", 0.25},
+                            {"particle_exchange", 1.0},
+                            {"reorder", 0.125},
+                            {"file_io", 2.0},
+                            {"metadata_io", 0.0625}}});
   }
   info.totals.particles_sent = 1000;
   info.totals.bytes_sent = 124000;
@@ -62,6 +60,8 @@ TEST(RunRecord, WriteRecordRoundTrips) {
   EXPECT_EQ(p1.at("rank").as_i64(), 1);
   EXPECT_DOUBLE_EQ(p1.at("setup").as_double(), 1.5);
   EXPECT_DOUBLE_EQ(p1.at("file_io").as_double(), 2.0);
+  // The row holds exactly the rank plus the producer's columns.
+  EXPECT_EQ(p1.size(), 7u);
   EXPECT_EQ(w.at("totals").at("bytes_written").as_u64(), 124000u);
   EXPECT_EQ(w.at("counters").at("writer.bytes_written").as_u64(), big);
   EXPECT_TRUE(w.at("environment").at("threads_as_ranks").as_bool());
@@ -76,8 +76,8 @@ TEST(RunRecord, ReadRecordMergesIntoExistingWriteRecord) {
   ReadRunInfo info;
   info.ranks = 2;
   info.levels = -1;
-  info.phases.push_back({0, 0.5, 0.25});
-  info.phases.push_back({1, 0.75, 0.125});
+  info.phases.push_back({0, {{"file_io", 0.5}, {"exchange", 0.25}}});
+  info.phases.push_back({1, {{"file_io", 0.75}, {"exchange", 0.125}}});
   info.totals.files_opened = 2;
   info.totals.bytes_read = 248000;
   info.totals.particles_scanned = 2000;

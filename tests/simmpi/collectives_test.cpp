@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <vector>
 
 #include "simmpi/reduce_ops.hpp"
 #include "simmpi/runtime.hpp"
@@ -71,6 +72,28 @@ TEST(Collectives, AllgathervVariableLengths) {
     for (int r = 0; r < kRanks; ++r) {
       ASSERT_EQ(all[r].size(), static_cast<std::size_t>(r));
       for (int v : all[r]) EXPECT_EQ(v, r);
+    }
+  });
+}
+
+TEST(Collectives, AllgathervByteSpansWithEmptyContributions) {
+  // The writer's commit gather: ranks without a file contribute nothing.
+  constexpr int kRanks = 6;
+  const auto payload = [](int r) {
+    std::vector<std::byte> out;
+    if (r % 2 == 0)
+      for (int i = 0; i <= r; ++i)
+        out.push_back(static_cast<std::byte>(0x10 * r + i));
+    return out;
+  };
+  run(kRanks, [&](Comm& comm) {
+    const std::vector<std::byte> mine = payload(comm.rank());
+    const auto all = comm.allgatherv<std::byte>(mine);
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(kRanks));
+    for (int r = 0; r < kRanks; ++r) {
+      EXPECT_EQ(all[static_cast<std::size_t>(r)].size(),
+                r % 2 == 0 ? static_cast<std::size_t>(r + 1) : 0u);
+      EXPECT_EQ(all[static_cast<std::size_t>(r)], payload(r)) << "rank " << r;
     }
   });
 }

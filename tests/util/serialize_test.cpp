@@ -36,6 +36,15 @@ TEST(BinaryRoundTrip, EmptyVector) {
   EXPECT_TRUE(r.at_end());
 }
 
+TEST(BinaryRoundTrip, EmptySpanFromEmptyPayload) {
+  // An empty payload has no storage at all: the alltoallv of a rank that
+  // sends nothing hands the receiver exactly this.
+  const std::vector<std::byte> none;
+  BinaryReader r(none);
+  EXPECT_TRUE(r.read_span<std::byte>(0).empty());
+  EXPECT_TRUE(r.at_end());
+}
+
 TEST(BinaryRoundTrip, Strings) {
   BinaryWriter w;
   w.write_string("position");

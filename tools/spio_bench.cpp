@@ -486,23 +486,6 @@ int run_hotpath(const std::string& json_path, const std::string& compare_path,
   }
   j.close_arr();
 
-  // -- micro: per-file field-range pass (record-major) --
-  {
-    constexpr std::uint64_t kParticles = 500000;
-    const auto buf = workload::uniform(schema, Box3::unit(), kParticles,
-                                       stream_seed(3, 0), 0);
-    const double s = best_seconds(reps, [&] {
-      const auto ranges = writer_detail::compute_field_ranges(buf);
-      if (ranges.empty()) std::abort();
-    });
-    j.open_obj("field_ranges");
-    j.field("particles", kParticles);
-    j.field("gbs", static_cast<double>(buf.byte_size()) / 1e9 / s);
-    j.close_obj();
-    std::cout << "field ranges " << static_cast<double>(buf.byte_size()) / 1e9 / s
-              << " GB/s\n";
-  }
-
   // -- pipeline stage breakdown at 8 and 32 ranks --
   j.open_arr("jobs");
   hotpath_job(j, 8, 50000, {2, 2, 1}, reps);

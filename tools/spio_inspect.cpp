@@ -167,8 +167,8 @@ void print_zone_maps(const Dataset& ds, bool all_files) {
     std::cout << (m.has_zone_maps
                       ? "zones: sidecar missing or unusable — the planner "
                         "runs zone-free (see warnings below)\n"
-                      : "zones: none recorded (written with "
-                        "write_zone_maps=false?)\n");
+                      : "zones: none recorded (written before zone maps "
+                        "existed, format v2; or no data files)\n");
     return;
   }
 
