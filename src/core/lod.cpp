@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <numeric>
 #include <vector>
 
 #include "util/error.hpp"
@@ -55,52 +57,32 @@ int lod_level_count(const LodParams& p, int n_readers, std::uint64_t total) {
   return levels;
 }
 
+void RecordRuns::add(std::span<const std::byte> run) {
+  SPIO_CHECK(run.size() % record_size_ == 0, FormatError,
+             "record run of " << run.size()
+                              << " bytes is not a multiple of the "
+                              << record_size_ << "-byte record");
+  if (run.empty()) return;
+  data_.push_back(run.data());
+  starts_.push_back(size() + run.size() / record_size_);
+}
+
+const std::byte* RecordRuns::record(std::size_t i) const {
+  SPIO_EXPECTS(i < size());
+  // The run holding i is the last one starting at or before it.
+  const std::size_t r = static_cast<std::size_t>(
+      std::upper_bound(starts_.begin() + 1, starts_.end(), i) -
+      (starts_.begin() + 1));
+  return data_[r] + (i - starts_[r]) * record_size_;
+}
+
 namespace {
 
-void shuffle_random(ParticleBuffer& buf, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  const std::size_t n = buf.size();
-  // Fisher–Yates: after the pass, every permutation is equally likely, so
-  // every prefix is a uniform random subset — exactly the property the LOD
-  // prefix reads rely on.
-  for (std::size_t i = n; i > 1; --i) {
-    const std::size_t j =
-        static_cast<std::size_t>(rng.uniform_index(static_cast<std::uint64_t>(i)));
-    buf.swap_records(i - 1, j);
-  }
-}
-
-/// Rebuild `buf` as the permutation buf[order[0]], buf[order[1]], ... via
-/// one pre-sized allocation and one record memcpy per particle (the
-/// per-record append path re-checked bounds and grew the vector
-/// incrementally).
-void gather_records(ParticleBuffer& buf,
-                    const std::vector<std::uint32_t>& order) {
-  const std::size_t rs = buf.record_size();
-  const std::byte* src = buf.bytes().data();
-  std::vector<std::byte> out(order.size() * rs);
-  std::byte* dst = out.data();
-  for (const std::uint32_t idx : order) {
-    std::memcpy(dst, src + static_cast<std::size_t>(idx) * rs, rs);
-    dst += rs;
-  }
-  buf.adopt_bytes(std::move(out));
-}
-
-/// Indices 0..2^bits-1 in bit-reversed order, filtered to < n.
-std::vector<std::uint32_t> bit_reversed_order(std::size_t n) {
-  std::vector<std::uint32_t> order;
-  order.reserve(n);
-  if (n == 0) return order;
-  std::size_t bits = 0;
-  while ((1ULL << bits) < n) ++bits;
-  for (std::size_t i = 0; i < (1ULL << bits); ++i) {
-    std::size_t rev = 0;
-    for (std::size_t b = 0; b < bits; ++b)
-      if (i & (1ULL << b)) rev |= 1ULL << (bits - 1 - b);
-    if (rev < n) order.push_back(static_cast<std::uint32_t>(rev));
-  }
-  return order;
+/// Position of a record: the schema's first field, f64 ×3 at offset 0.
+Vec3d position_at(const std::byte* record) {
+  Vec3d p;
+  std::memcpy(&p, record, sizeof(Vec3d));
+  return p;
 }
 
 /// 30-bit Morton code (10 bits per axis) of a normalized position.
@@ -123,13 +105,55 @@ std::uint32_t morton_code(const Vec3d& rel) {
                                     (spread(quantize(rel.z)) << 2));
 }
 
-void shuffle_stratified(ParticleBuffer& buf, std::uint64_t seed) {
-  const std::size_t n = buf.size();
-  if (n < 2) return;
-  const Box3 bounds = buf.bounds();
+/// Morton code of every record, normalized to the records' joint bounds.
+std::vector<std::uint32_t> morton_keys(const RecordRuns& records) {
+  const std::size_t n = records.size();
+  Box3 bounds = Box3::empty();
+  for (std::size_t i = 0; i < n; ++i)
+    bounds.extend(position_at(records.record(i)));
   const Vec3d size = Vec3d::max(bounds.size(), Vec3d(1e-300));
+  std::vector<std::uint32_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i)
+    keys[i] = morton_code((position_at(records.record(i)) - bounds.lo) / size);
+  return keys;
+}
 
-  // Sort particle indices along the Morton curve; ties (same cell) are
+/// Indices 0..2^bits-1 in bit-reversed order, filtered to < n.
+std::vector<std::uint32_t> bit_reversed_order(std::size_t n) {
+  std::vector<std::uint32_t> order;
+  order.reserve(n);
+  if (n == 0) return order;
+  std::size_t bits = 0;
+  while ((1ULL << bits) < n) ++bits;
+  for (std::size_t i = 0; i < (1ULL << bits); ++i) {
+    std::size_t rev = 0;
+    for (std::size_t b = 0; b < bits; ++b)
+      if (i & (1ULL << b)) rev |= 1ULL << (bits - 1 - b);
+    if (rev < n) order.push_back(static_cast<std::uint32_t>(rev));
+  }
+  return order;
+}
+
+std::vector<std::uint32_t> random_order(std::size_t n, std::uint64_t seed) {
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  Xoshiro256 rng(seed);
+  // Fisher–Yates: after the pass, every permutation is equally likely, so
+  // every prefix is a uniform random subset — exactly the property the LOD
+  // prefix reads rely on. Swapping 4-byte indices instead of the records
+  // keeps the random accesses inside a cache-resident array.
+  for (std::size_t i = n; i > 1; --i) {
+    const std::size_t j = static_cast<std::size_t>(
+        rng.uniform_index(static_cast<std::uint64_t>(i)));
+    std::swap(order[i - 1], order[j]);
+  }
+  return order;
+}
+
+std::vector<std::uint32_t> stratified_order(
+    std::size_t n, std::uint64_t seed, std::span<const std::uint32_t> morton) {
+  SPIO_EXPECTS(morton.size() == n);
+  // Sort record indices along the Morton curve; ties (same cell) are
   // broken pseudo-randomly so co-located particles do not keep their
   // input order.
   struct Key {
@@ -140,8 +164,7 @@ void shuffle_stratified(ParticleBuffer& buf, std::uint64_t seed) {
   std::vector<Key> keys(n);
   Xoshiro256 rng(seed);
   for (std::size_t i = 0; i < n; ++i) {
-    const Vec3d rel = (buf.position(i) - bounds.lo) / size;
-    keys[i] = {morton_code(rel), static_cast<std::uint32_t>(rng.next()),
+    keys[i] = {morton[i], static_cast<std::uint32_t>(rng.next()),
                static_cast<std::uint32_t>(i)};
   }
   std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
@@ -152,39 +175,76 @@ void shuffle_stratified(ParticleBuffer& buf, std::uint64_t seed) {
   // Emit the space-sorted sequence in bit-reversed rank order: each
   // prefix visits the Morton curve at even spacing, i.e. is spatially
   // stratified.
-  std::vector<std::uint32_t> order;
-  order.reserve(n);
-  for (const std::uint32_t r : bit_reversed_order(n))
-    order.push_back(keys[r].index);
-  gather_records(buf, order);
+  std::vector<std::uint32_t> order = bit_reversed_order(n);
+  for (std::uint32_t& r : order) r = keys[r].index;
+  return order;
 }
 
-void shuffle_stride(ParticleBuffer& buf) {
-  // Deterministic interleave: emit indices 0, n/2, n/4, 3n/4, ... —
-  // bit-reversed order over the input sequence. Applied out of place
-  // (records are large; a cycle-walk in place would touch each record
-  // twice anyway).
-  const std::size_t n = buf.size();
-  if (n < 2) return;
-  gather_records(buf, bit_reversed_order(n));
+/// Replace `out` with the records in `order`: one reservation, one record
+/// copy per particle, each read straight from the run holding it. The
+/// reads are random, so the records a few steps ahead are prefetched.
+void gather(const RecordRuns& records, std::span<const std::uint32_t> order,
+            ParticleBuffer& out) {
+  const std::size_t rs = records.record_size();
+  constexpr std::size_t kAhead = 16;
+  out.clear();
+  out.reserve(order.size());
+  const std::byte* ahead[kAhead] = {};  // ring: records k .. k+kAhead-1
+  const std::size_t n = order.size();
+  for (std::size_t k = 0; k < std::min(n, kAhead); ++k)
+    ahead[k] = records.record(order[k]);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::byte* src = ahead[k % kAhead];
+    if (k + kAhead < n) {
+      const std::byte* p = records.record(order[k + kAhead]);
+      for (std::size_t off = 0; off < rs; off += 64) __builtin_prefetch(p + off);
+      __builtin_prefetch(p + rs - 1);
+      ahead[k % kAhead] = p;
+    }
+    out.append_records(src, 1);
+  }
 }
 
 }  // namespace
 
-void lod_reorder(ParticleBuffer& buf, std::uint64_t seed,
-                 LodHeuristic heuristic) {
+std::vector<std::uint32_t> lod_permutation(
+    std::uint64_t n, std::uint64_t seed, LodHeuristic heuristic,
+    std::span<const std::uint32_t> morton) {
+  SPIO_CHECK(n <= std::numeric_limits<std::uint32_t>::max(), ConfigError,
+             "cannot LOD-order " << n
+                                 << " records: record indices are 32-bit; "
+                                    "use a smaller partition factor");
+  const auto count = static_cast<std::size_t>(n);
   switch (heuristic) {
     case LodHeuristic::kRandom:
-      shuffle_random(buf, seed);
-      return;
+      return random_order(count, seed);
     case LodHeuristic::kStride:
-      shuffle_stride(buf);
-      return;
+      // Deterministic interleave: indices 0, n/2, n/4, 3n/4, ... —
+      // bit-reversed order over the input sequence.
+      return bit_reversed_order(count);
     case LodHeuristic::kStratified:
-      shuffle_stratified(buf, seed);
-      return;
+      return stratified_order(count, seed, morton);
   }
   throw ConfigError("unknown LOD heuristic");
+}
+
+void lod_reorder(const RecordRuns& records, ParticleBuffer& out,
+                 std::uint64_t seed, LodHeuristic heuristic) {
+  SPIO_EXPECTS(out.record_size() == records.record_size());
+  const std::vector<std::uint32_t> morton =
+      heuristic == LodHeuristic::kStratified ? morton_keys(records)
+                                             : std::vector<std::uint32_t>{};
+  gather(records, lod_permutation(records.size(), seed, heuristic, morton),
+         out);
+}
+
+void lod_reorder(ParticleBuffer& buf, std::uint64_t seed,
+                 LodHeuristic heuristic) {
+  RecordRuns records(buf.record_size());
+  records.add(buf.bytes());
+  ParticleBuffer out(buf.schema());
+  lod_reorder(records, out, seed, heuristic);
+  buf = std::move(out);
 }
 
 }  // namespace spio

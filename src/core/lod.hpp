@@ -1,10 +1,12 @@
 #pragma once
 
 /// \file lod.hpp
-/// Level-of-detail ordering (paper §3.4). Aggregated particles are
-/// re-shuffled in place so that any prefix of a data file is a uniform
-/// random subset of its particles; reading "one more level" means reading
-/// further into the file.
+/// Level-of-detail ordering (paper §3.4). An aggregator's particles are
+/// written in a shuffled order so that any prefix of a data file is a
+/// uniform random subset of its particles; reading "one more level" means
+/// reading further into the file. The order is built as a permutation of
+/// record indices and applied by one gather that reads the records where
+/// the exchange left them, so they are copied exactly once.
 ///
 /// Level l holds at most `x(n, l) = n · P · S^l` particles of the whole
 /// dataset, where n is the number of *reading* processes, P the particle
@@ -12,7 +14,10 @@
 /// (default 2). The last level holds the remainder. Because levels are
 /// plain subsets, the layout adds no storage overhead.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "workload/particle_buffer.hpp"
@@ -71,9 +76,53 @@ enum class LodHeuristic : std::uint8_t {
   kStratified = 2,
 };
 
-/// Re-order `buf` in place into LOD order with the given heuristic. The
-/// shuffle is deterministic in `seed`; writers derive the seed from the
-/// partition id so re-running a write reproduces files bit-for-bit.
+/// Whole records of one schema spread over several byte runs — an
+/// aggregator's own bytes and the payloads it received — addressed in run
+/// order as one sequence, without concatenating them. The runs are
+/// borrowed: they must outlive this view.
+class RecordRuns {
+ public:
+  explicit RecordRuns(std::size_t record_size) : record_size_(record_size) {}
+
+  /// Append a run of whole records (empty runs are skipped). Throws
+  /// FormatError if `run` is not a multiple of record_size().
+  void add(std::span<const std::byte> run);
+
+  std::size_t size() const { return starts_.back(); }
+  std::size_t record_size() const { return record_size_; }
+
+  /// First byte of record `i` (i < size()).
+  const std::byte* record(std::size_t i) const;
+
+ private:
+  std::size_t record_size_;
+  std::vector<const std::byte*> data_;
+  /// starts_[r] is the index of run r's first record; back() is size().
+  std::vector<std::size_t> starts_{0};
+};
+
+/// The LOD order of `n` records: entry k is the index of the record that
+/// goes k-th. Deterministic in `seed`. kStratified sorts by `morton`, one
+/// 30-bit Morton code per record (lod_reorder computes them over the
+/// records' joint bounding box); the other heuristics ignore it.
+/// Indices are 32-bit, so n > UINT32_MAX throws ConfigError before
+/// anything is allocated.
+std::vector<std::uint32_t> lod_permutation(
+    std::uint64_t n, std::uint64_t seed, LodHeuristic heuristic,
+    std::span<const std::uint32_t> morton = {});
+
+/// Fill `out` (same record size, contents replaced, none of the runs) with
+/// `records` in LOD order: the permutation, then one gather straight from
+/// the runs. The result does not depend on how the records are split into
+/// runs.
+void lod_reorder(const RecordRuns& records, ParticleBuffer& out,
+                 std::uint64_t seed,
+                 LodHeuristic heuristic = LodHeuristic::kRandom);
+
+/// Re-order `buf` into LOD order with the given heuristic (the one-run
+/// case of the above). The shuffle is deterministic in `seed`; writers
+/// derive the seed from the partition id so re-running a write reproduces
+/// files bit-for-bit.
 void lod_reorder(ParticleBuffer& buf, std::uint64_t seed,
                  LodHeuristic heuristic = LodHeuristic::kRandom);
 

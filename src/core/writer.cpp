@@ -351,7 +351,7 @@ struct WriteJob {
   WriteJob(simmpi::Comm& c, const PatchDecomposition& d,
            const ParticleBuffer& l, const WriterConfig& cfg)
       : comm(c), decomp(d), local(l), config(cfg), rank(c.rank()),
-        aggregated(l.schema()) {}
+        runs(l.record_size()), aggregated(l.schema()) {}
 
   simmpi::Comm& comm;
   const PatchDecomposition& decomp;
@@ -372,7 +372,13 @@ struct WriteJob {
   std::vector<int> count_senders;
   std::vector<std::uint64_t> incoming_counts;
   std::uint64_t incoming_total = 0;
-  // exchange_particles
+  // exchange_particles: the records aggregated here as byte runs in
+  // ascending sender order, and the buffers those runs point into (the
+  // rest point into `local`)
+  std::vector<std::vector<std::byte>> received;
+  std::vector<std::byte> self_owned;
+  RecordRuns runs;
+  // reorder
   ParticleBuffer aggregated;
   // write_data_file
   FileRecord record;
@@ -542,18 +548,19 @@ void exchange_counts(WriteJob& job) {
                            << "; use a smaller partition factor");
 }
 
-/// Steps 4 + 5: allocate the aggregation buffer, exchange particles.
+/// Steps 4 + 5: exchange particles. The aggregator keeps what arrived
+/// where it landed; the reorder stage gathers it into the data file's
+/// order in one copy.
 void exchange_particles(WriteJob& job) {
   const AggregationPlan& plan = *job.plan;
   const ParticleBuffer& local = job.local;
   const int rank = job.rank;
-  // Self-send elision: a bin whose aggregator is this rank is spliced
-  // into the aggregation buffer directly instead of looping through the
-  // mailbox. Disabled under fault injection so scripted transport faults
-  // keep addressing the same message sites as before.
+  // Self-send elision: a bin whose aggregator is this rank becomes a run
+  // in place instead of looping through the mailbox. Disabled under fault
+  // injection so scripted transport faults keep addressing the same
+  // message sites as before.
   bool self_elided = false;
   std::span<const std::byte> self_bytes{};
-  std::vector<std::byte> self_owned;  // keeps a general-path self bin alive
 
   std::vector<faultsim::Outbound> particle_msgs;
   if (job.fast_partition >= 0) {
@@ -577,8 +584,8 @@ void exchange_particles(WriteJob& job) {
     const int agg = plan.aggregator_of(bins.partitions[b]);
     if (agg == rank && !job.config.faults) {
       self_elided = true;
-      self_owned = std::move(bins.payloads[b]);
-      self_bytes = self_owned;
+      job.self_owned = std::move(bins.payloads[b]);
+      self_bytes = job.self_owned;
       continue;
     }
     if (agg != rank) {
@@ -597,48 +604,40 @@ void exchange_particles(WriteJob& job) {
     particle_senders.push_back(job.count_senders[i]);
   }
 
-  // Deterministic assembly order (ascending sender rank, the elided local
-  // payload spliced at this rank's ordinal) makes the aggregated buffer —
-  // and therefore the shuffled file — reproducible and byte-identical to
-  // the pre-elision protocol.
-  ParticleBuffer& aggregated = job.aggregated;
-  auto particle_payloads =
+  // Deterministic run order (ascending sender rank, the elided local
+  // payload at this rank's ordinal) makes the shuffled file reproducible
+  // and byte-identical to the pre-elision protocol.
+  job.received =
       exchange(job, std::move(particle_msgs), particle_senders, kTagData);
-  if (particle_payloads.size() == 1 && !self_elided) {
-    // Single remote contributor: adopt the payload, zero copies.
-    aggregated.adopt_bytes(std::move(particle_payloads[0]));
-  } else if (particle_payloads.empty() && self_elided &&
-             !self_owned.empty()) {
-    // Sole contributor is this rank's own general-path bin: adopt it.
-    aggregated.adopt_bytes(std::move(self_owned));
-  } else {
-    aggregated.reserve(job.incoming_total);
-    std::size_t next = 0;
-    bool spliced = !self_elided;
-    for (const int s : particle_senders) {
-      if (!spliced && rank < s) {
-        aggregated.append_bytes(self_bytes);
-        spliced = true;
-      }
-      aggregated.append_bytes(particle_payloads[next++]);
+  std::size_t next = 0;
+  bool spliced = !self_elided;
+  for (const int s : particle_senders) {
+    if (!spliced && rank < s) {
+      job.runs.add(self_bytes);
+      spliced = true;
     }
-    if (!spliced) aggregated.append_bytes(self_bytes);
+    job.runs.add(job.received[next++]);
   }
+  if (!spliced) job.runs.add(self_bytes);
   if (job.my_partition >= 0) {
-    SPIO_CHECK(aggregated.size() == job.incoming_total, FormatError,
-               "aggregator " << rank << " assembled " << aggregated.size()
+    SPIO_CHECK(job.runs.size() == job.incoming_total, FormatError,
+               "aggregator " << rank << " received " << job.runs.size()
                              << " particles but metadata promised "
                              << job.incoming_total);
   }
 }
 
-/// Step 6: LOD re-ordering.
+/// Step 6: LOD re-ordering, gathered straight from the exchange's runs
+/// into the aggregation buffer; the received payloads are then released.
 void reorder(WriteJob& job) {
-  if (job.aggregated.empty()) return;
-  lod_reorder(job.aggregated,
+  if (job.runs.size() == 0) return;
+  lod_reorder(job.runs, job.aggregated,
               stream_seed(job.config.shuffle_seed,
                           static_cast<std::uint64_t>(job.my_partition)),
               job.config.heuristic);
+  job.runs = RecordRuns(job.local.record_size());
+  job.received = {};
+  job.self_owned = {};
 }
 
 /// Step 7: write this aggregator's data file, CRC'd as it streams out.

@@ -6,8 +6,8 @@
 ///
 ///   plan_aggregation    set up the grid, select aggregators  (§3.1–3.2)
 ///   exchange_counts     exchange particle counts             (§3.3)
-///   exchange_particles  size the buffers, exchange particles (§3.3)
-///   reorder             re-order particles into LOD order    (§3.4)
+///   exchange_particles  exchange particles, keep them as runs (§3.3)
+///   reorder             gather the runs in LOD order         (§3.4)
 ///   write_data_file     write one data file per partition    (§3.4)
 ///   commit_metadata     gather bounds, write the metadata    (§3.5)
 ///

@@ -72,15 +72,18 @@ class Xoshiro256 {
     return lo + (hi - lo) * uniform();
   }
 
-  /// Unbiased uniform integer in [0, bound) via Lemire rejection.
-  /// Precondition: bound > 0.
+  /// Unbiased uniform integer in [0, bound) by modulo rejection: draws
+  /// below `(2^64 - bound) % bound` are rejected. Precondition: bound > 0.
   constexpr std::uint64_t uniform_index(std::uint64_t bound) {
-    // Classic modulo-rejection; reproducible and unbiased.
-    const std::uint64_t threshold = (0 - bound) % bound;
-    for (;;) {
-      const std::uint64_t r = next();
-      if (r >= threshold) return r % bound;
+    std::uint64_t r = next();
+    // The threshold is below `bound`, so a draw of at least `bound` is
+    // always accepted and the threshold's division is needed only for the
+    // rare draw below it.
+    if (r < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (r < threshold) r = next();
     }
+    return r % bound;
   }
 
   /// Standard normal deviate (Box-Muller, reproducible).

@@ -80,9 +80,6 @@ class ParticleBuffer {
   float get_f32(std::size_t i, std::size_t field, std::size_t comp = 0) const;
   void set_f32(std::size_t i, std::size_t field, std::size_t comp, float v);
 
-  /// Swap records `a` and `b` in place (used by the LOD shuffle).
-  void swap_records(std::size_t a, std::size_t b);
-
   /// Drop all records past the first `count` (no-op if already smaller).
   void truncate(std::size_t count);
 

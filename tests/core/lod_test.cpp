@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
@@ -312,6 +313,151 @@ TEST(LodShuffle, StratifiedHandlesCoincidentPositions) {
   const auto before = ids_of(buf);
   lod_reorder(buf, 1, LodHeuristic::kStratified);
   EXPECT_EQ(ids_of(buf), before);
+}
+
+// ---- golden permutations ----
+//
+// The id order after `lod_reorder` for fixed seeds, pinned as a digest so
+// that any change to a heuristic's permutation fails here directly rather
+// than only through a writer golden file. Particles are scattered in 3-D
+// so the stratified heuristic sorts on real Morton keys with ties.
+
+ParticleBuffer scattered_particles(std::size_t n) {
+  ParticleBuffer buf = workload::uniform(Schema::uintah(), Box3::unit(), n, 7);
+  const auto id = buf.schema().index_of("id");
+  for (std::size_t i = 0; i < n; ++i)
+    buf.set_f64(i, id, 0, static_cast<double>(i));
+  return buf;
+}
+
+/// FNV-1a over the id sequence of `buf`.
+std::uint64_t id_order_digest(const ParticleBuffer& buf) {
+  const auto id = buf.schema().index_of("id");
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    h ^= static_cast<std::uint64_t>(buf.get_f64(i, id));
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+void expect_golden(LodHeuristic h,
+                   const std::map<std::size_t, std::uint64_t>& golden) {
+  for (const auto& [n, digest] : golden) {
+    ParticleBuffer buf = scattered_particles(n);
+    lod_reorder(buf, 2019, h);
+    EXPECT_EQ(id_order_digest(buf), digest)
+        << "heuristic=" << static_cast<int>(h) << " n=" << n << " digest=0x"
+        << std::hex << id_order_digest(buf);
+  }
+}
+
+TEST(LodShuffle, RandomPermutationIsGolden) {
+  expect_golden(LodHeuristic::kRandom, {{2, 0x08328707b4eb6e3aULL},
+                                        {3, 0xeaa0071875df2b5aULL},
+                                        {1000, 0x1a4837b5cbbc4be3ULL},
+                                        {4097, 0xfb4c7739800cd67bULL}});
+}
+
+TEST(LodShuffle, StridePermutationIsGolden) {
+  expect_golden(LodHeuristic::kStride, {{2, 0x08328707b4eb6e3aULL},
+                                        {3, 0xd94645186c0967b2ULL},
+                                        {1000, 0xdda8a343d7e9f955ULL},
+                                        {4097, 0xf51c93f127f30bdfULL}});
+}
+
+TEST(LodShuffle, StratifiedPermutationIsGolden) {
+  expect_golden(LodHeuristic::kStratified, {{2, 0x082f2207b4e88cc4ULL},
+                                            {3, 0xeaa0071875df2b5aULL},
+                                            {1000, 0x4ed75746c9f0f67dULL},
+                                            {4097, 0x18ea28925a1915abULL}});
+}
+
+// ---- gather over record runs ----
+
+/// Reorder `whole` as the run list cut at `cuts` (record indices; equal
+/// neighbours give an empty run) and return the result's bytes.
+std::vector<std::byte> reorder_split(const ParticleBuffer& whole,
+                                     const std::vector<std::size_t>& cuts,
+                                     std::uint64_t seed, LodHeuristic h) {
+  const std::size_t rs = whole.record_size();
+  RecordRuns runs(rs);
+  std::size_t from = 0;
+  for (const std::size_t to : cuts) {
+    runs.add(whole.bytes().subspan(from * rs, (to - from) * rs));
+    from = to;
+  }
+  runs.add(whole.bytes().subspan(from * rs));
+  ParticleBuffer out(whole.schema());
+  lod_reorder(runs, out, seed, h);
+  const auto b = out.bytes();
+  return {b.begin(), b.end()};
+}
+
+TEST(LodGather, ResultIgnoresHowRecordsAreSplitIntoRuns) {
+  constexpr std::size_t n = 1000;
+  const ParticleBuffer whole = scattered_particles(n);
+  const std::vector<std::vector<std::size_t>> splits = {
+      {},                  // one run
+      {n / 2},             // two equal runs
+      {1, 2, 700},         // uneven runs
+      {300, 300, 300},     // empty runs in the middle
+      {0, n},              // empty first and last runs
+  };
+  for (const auto h : {LodHeuristic::kRandom, LodHeuristic::kStride,
+                       LodHeuristic::kStratified}) {
+    ParticleBuffer expected = whole;
+    lod_reorder(expected, 11, h);
+    const auto want = expected.bytes();
+    for (const auto& cuts : splits) {
+      const std::vector<std::byte> got = reorder_split(whole, cuts, 11, h);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+          << "heuristic=" << static_cast<int>(h)
+          << " runs=" << cuts.size() + 1;
+    }
+  }
+}
+
+TEST(LodGather, RunsAddressRecordsInRunOrder) {
+  const ParticleBuffer whole = scattered_particles(10);
+  const std::size_t rs = whole.record_size();
+  RecordRuns runs(rs);
+  runs.add(whole.bytes().subspan(0, 3 * rs));
+  runs.add({});
+  runs.add(whole.bytes().subspan(3 * rs));
+  ASSERT_EQ(runs.size(), 10u);
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    EXPECT_EQ(runs.record(i), whole.bytes().data() + i * rs) << i;
+  EXPECT_THROW(runs.add(whole.bytes().subspan(0, rs - 1)), FormatError);
+}
+
+TEST(LodGather, EmptyRunListGivesEmptyBuffer) {
+  RecordRuns runs(Schema::uintah().record_size());
+  ParticleBuffer out = scattered_particles(4);
+  lod_reorder(runs, out, 1);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(LodPermutation, RejectsMoreRecordsThanThirtyTwoBitIndices) {
+  // Checked before allocating: 2^32 indices would be 16 GiB.
+  constexpr std::uint64_t kTooMany = 1ULL << 32;
+  for (const auto h : {LodHeuristic::kRandom, LodHeuristic::kStride,
+                       LodHeuristic::kStratified}) {
+    EXPECT_THROW(lod_permutation(kTooMany, 1, h), ConfigError)
+        << "heuristic=" << static_cast<int>(h);
+  }
+}
+
+TEST(LodPermutation, IsAPermutationOfIndices) {
+  for (const auto h : {LodHeuristic::kRandom, LodHeuristic::kStride}) {
+    for (const std::uint64_t n : {0u, 1u, 2u, 1000u, 4097u}) {
+      std::vector<std::uint32_t> order = lod_permutation(n, 3, h);
+      ASSERT_EQ(order.size(), n);
+      std::sort(order.begin(), order.end());
+      for (std::size_t i = 0; i < order.size(); ++i) ASSERT_EQ(order[i], i);
+    }
+  }
 }
 
 TEST(LodShuffle, StrideSpreadsPrefixAcrossInput) {

@@ -64,6 +64,57 @@ TEST(Xoshiro256, UniformIndexOfOneIsAlwaysZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.uniform_index(1), 0u);
 }
 
+/// The original formulation of Xoshiro256::uniform_index, which computed
+/// the rejection threshold on every call. Counts the draws it rejected.
+std::uint64_t uniform_index_always_threshold(Xoshiro256& rng,
+                                             std::uint64_t bound,
+                                             std::uint64_t& rejected) {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  for (;;) {
+    const std::uint64_t r = rng.next();
+    if (r >= threshold) return r % bound;
+    ++rejected;
+  }
+}
+
+TEST(Xoshiro256, UniformIndexMatchesAlwaysThresholdFormula) {
+  // Same values and same draws consumed: after every call both generators
+  // must still be in step. Bounds just above 2^63 reject almost half of
+  // all draws, so the rejection path is exercised, not just reachable.
+  constexpr std::uint64_t kHalf = 1ULL << 63;
+  constexpr std::uint64_t kMax = ~0ULL;
+  std::vector<std::uint64_t> bounds = {1,
+                                       2,
+                                       3,
+                                       1000,
+                                       4097,
+                                       (1ULL << 32) - 1,
+                                       1ULL << 32,
+                                       (1ULL << 32) + 1,
+                                       kHalf - 1,
+                                       kHalf,
+                                       kHalf + 1,
+                                       kHalf + 3,
+                                       kHalf + 12345,
+                                       kHalf + (kHalf >> 1),
+                                       kMax - 1,
+                                       kMax};
+  for (std::uint64_t b = 4; b < 300; b += 7) bounds.push_back(b);
+  std::uint64_t rejected = 0;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    Xoshiro256 a(seed), b(seed);
+    for (const std::uint64_t bound : bounds) {
+      for (int k = 0; k < 50; ++k) {
+        ASSERT_EQ(a.uniform_index(bound),
+                  uniform_index_always_threshold(b, bound, rejected))
+            << "seed=" << seed << " bound=" << bound;
+        ASSERT_EQ(a.next(), b.next()) << "seed=" << seed << " bound=" << bound;
+      }
+    }
+  }
+  EXPECT_GT(rejected, 1000u);
+}
+
 TEST(Xoshiro256, NormalHasUnitMoments) {
   Xoshiro256 rng(5);
   double sum = 0.0, sq = 0.0;
