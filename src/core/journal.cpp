@@ -88,6 +88,7 @@ ChecksumTable ChecksumTable::load(const std::filesystem::path& dir) {
   SPIO_CHECK(version == kVersion, FormatError,
              "unsupported checksum table version " << version);
   const auto count = r.read<std::uint64_t>();
+  r.check_count(count, sizeof(std::uint32_t) + sizeof(std::uint64_t));
   ChecksumTable table;
   table.entries.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {

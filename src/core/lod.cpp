@@ -180,31 +180,6 @@ std::vector<std::uint32_t> stratified_order(
   return order;
 }
 
-/// Replace `out` with the records in `order`: one reservation, one record
-/// copy per particle, each read straight from the run holding it. The
-/// reads are random, so the records a few steps ahead are prefetched.
-void gather(const RecordRuns& records, std::span<const std::uint32_t> order,
-            ParticleBuffer& out) {
-  const std::size_t rs = records.record_size();
-  constexpr std::size_t kAhead = 16;
-  out.clear();
-  out.reserve(order.size());
-  const std::byte* ahead[kAhead] = {};  // ring: records k .. k+kAhead-1
-  const std::size_t n = order.size();
-  for (std::size_t k = 0; k < std::min(n, kAhead); ++k)
-    ahead[k] = records.record(order[k]);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::byte* src = ahead[k % kAhead];
-    if (k + kAhead < n) {
-      const std::byte* p = records.record(order[k + kAhead]);
-      for (std::size_t off = 0; off < rs; off += 64) __builtin_prefetch(p + off);
-      __builtin_prefetch(p + rs - 1);
-      ahead[k % kAhead] = p;
-    }
-    out.append_records(src, 1);
-  }
-}
-
 }  // namespace
 
 std::vector<std::uint32_t> lod_permutation(
@@ -228,14 +203,43 @@ std::vector<std::uint32_t> lod_permutation(
   throw ConfigError("unknown LOD heuristic");
 }
 
-void lod_reorder(const RecordRuns& records, ParticleBuffer& out,
-                 std::uint64_t seed, LodHeuristic heuristic) {
-  SPIO_EXPECTS(out.record_size() == records.record_size());
+std::vector<std::uint32_t> lod_order(const RecordRuns& records,
+                                     std::uint64_t seed,
+                                     LodHeuristic heuristic) {
   const std::vector<std::uint32_t> morton =
       heuristic == LodHeuristic::kStratified ? morton_keys(records)
                                              : std::vector<std::uint32_t>{};
-  gather(records, lod_permutation(records.size(), seed, heuristic, morton),
-         out);
+  return lod_permutation(records.size(), seed, heuristic, morton);
+}
+
+void lod_gather(const RecordRuns& records,
+                std::span<const std::uint32_t> order, ParticleBuffer& out) {
+  SPIO_EXPECTS(out.record_size() == records.record_size());
+  const std::size_t rs = records.record_size();
+  constexpr std::size_t kAhead = 16;
+  const std::byte* ahead[kAhead] = {};  // ring: records k .. k+kAhead-1
+  const std::size_t n = order.size();
+  for (std::size_t k = 0; k < std::min(n, kAhead); ++k)
+    ahead[k] = records.record(order[k]);
+  // The reads are random, so the records a few steps ahead are prefetched.
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::byte* src = ahead[k % kAhead];
+    if (k + kAhead < n) {
+      const std::byte* p = records.record(order[k + kAhead]);
+      for (std::size_t off = 0; off < rs; off += 64) __builtin_prefetch(p + off);
+      __builtin_prefetch(p + rs - 1);
+      ahead[k % kAhead] = p;
+    }
+    out.append_records(src, 1);
+  }
+}
+
+void lod_reorder(const RecordRuns& records, ParticleBuffer& out,
+                 std::uint64_t seed, LodHeuristic heuristic) {
+  const std::vector<std::uint32_t> order = lod_order(records, seed, heuristic);
+  out.clear();
+  out.reserve(order.size());
+  lod_gather(records, order, out);
 }
 
 void lod_reorder(ParticleBuffer& buf, std::uint64_t seed,

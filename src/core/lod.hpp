@@ -5,8 +5,10 @@
 /// written in a shuffled order so that any prefix of a data file is a
 /// uniform random subset of its particles; reading "one more level" means
 /// reading further into the file. The order is built as a permutation of
-/// record indices and applied by one gather that reads the records where
-/// the exchange left them, so they are copied exactly once.
+/// record indices (`lod_order`) and applied by a gather that reads the
+/// records where the exchange left them (`lod_gather`). The writer never
+/// materializes the reordered file: it gathers the permutation chunk by
+/// chunk into one reused L2-sized buffer and streams each chunk out.
 ///
 /// Level l holds at most `x(n, l) = n · P · S^l` particles of the whole
 /// dataset, where n is the number of *reading* processes, P the particle
@@ -111,10 +113,23 @@ std::vector<std::uint32_t> lod_permutation(
     std::uint64_t n, std::uint64_t seed, LodHeuristic heuristic,
     std::span<const std::uint32_t> morton = {});
 
+/// The LOD order of `records`: `lod_permutation` over them, with the
+/// Morton keys kStratified needs computed over the records' joint bounds.
+/// Does not depend on how the records are split into runs.
+std::vector<std::uint32_t> lod_order(const RecordRuns& records,
+                                     std::uint64_t seed,
+                                     LodHeuristic heuristic);
+
+/// Append to `out` (same record size) the records `order` names, in that
+/// order, each copied straight from the run holding it. `order` may be
+/// any slice of a permutation, so a file can be gathered chunk by chunk
+/// into one reused buffer.
+void lod_gather(const RecordRuns& records,
+                std::span<const std::uint32_t> order, ParticleBuffer& out);
+
 /// Fill `out` (same record size, contents replaced, none of the runs) with
-/// `records` in LOD order: the permutation, then one gather straight from
-/// the runs. The result does not depend on how the records are split into
-/// runs.
+/// `records` in LOD order: `lod_order`, then one `lod_gather` of the
+/// whole permutation.
 void lod_reorder(const RecordRuns& records, ParticleBuffer& out,
                  std::uint64_t seed,
                  LodHeuristic heuristic = LodHeuristic::kRandom);

@@ -144,6 +144,12 @@ DatasetMetadata DatasetMetadata::deserialize(std::span<const std::byte> bytes) {
   m.total_particles = r.read<std::uint64_t>();
   const auto nfiles = r.read<std::uint32_t>();
 
+  // Every file record has the same size under these flags.
+  r.check_count(nfiles, 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t) +
+                            (m.has_bounds ? 6 * sizeof(double) : 0) +
+                            (m.has_field_ranges
+                                 ? 2 * sizeof(double) * m.range_count()
+                                 : 0));
   std::uint64_t count_sum = 0;
   m.files.reserve(nfiles);
   for (std::uint32_t i = 0; i < nfiles; ++i) {

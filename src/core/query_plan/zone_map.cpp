@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "core/lod.hpp"
+#include "simd/kernels.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/serialize.hpp"
@@ -80,6 +81,8 @@ ZoneMapTable ZoneMapTable::deserialize(std::span<const std::byte> bytes) {
   SPIO_CHECK(t.lod.valid(), FormatError,
              "zone sidecar has invalid LOD parameters");
   const auto file_count = r.read<std::uint32_t>();
+  // rank, particle count, zone count
+  r.check_count(file_count, 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t));
   t.files.reserve(file_count);
   for (std::uint32_t i = 0; i < file_count; ++i) {
     FileZones f;
@@ -95,7 +98,9 @@ ZoneMapTable ZoneMapTable::deserialize(std::span<const std::byte> bytes) {
                FormatError,
                "zone sidecar entry " << i
                                      << " violates the LOD zone-count law");
-    f.zones.resize(std::size_t{zones} * t.range_count);
+    const std::uint64_t ranges = std::uint64_t{zones} * t.range_count;
+    r.check_count(ranges, 2 * sizeof(double));
+    f.zones.resize(static_cast<std::size_t>(ranges));
     for (FieldRange& z : f.zones) {
       z.min = r.read<double>();
       z.max = r.read<double>();
@@ -123,61 +128,130 @@ bool ZoneMapTable::present(const std::filesystem::path& dir) {
   return std::filesystem::is_regular_file(dir / kFileName, ec);
 }
 
-std::vector<FieldRange> compute_zone_maps(const ParticleBuffer& buf,
-                                          const LodParams& lod) {
-  if (buf.empty()) return {};
-  const Schema& s = buf.schema();
-
-  struct Comp {
-    std::size_t offset;
-    bool f64;
-  };
-  std::vector<Comp> comps;
+ZoneAccumulator::ZoneAccumulator(const Schema& s, const LodParams& lod,
+                                 std::uint64_t n)
+    : lod_(lod),
+      n_(n),
+      record_size_(s.record_size()),
+      // An L2-sized block of records at a time, so the scalar pass reads
+      // the block the vector pass just brought into cache.
+      block_(std::max<std::size_t>(1, (std::size_t{256} << 10) /
+                                          s.record_size())) {
   for (std::size_t f = 0; f < s.field_count(); ++f) {
     const FieldDesc& fd = s.fields()[f];
     const std::size_t elem = field_type_size(fd.type);
     for (std::uint32_t c = 0; c < fd.components; ++c)
-      comps.push_back({s.offset(f) + c * elem, fd.type == FieldType::kF64});
+      comps_.push_back({comps_.size(), s.offset(f) + c * elem,
+                        fd.type == FieldType::kF64});
   }
-
-  const std::uint64_t n = buf.size();
-  const std::uint32_t zones = zone_file_count(lod, n);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<FieldRange> out(std::size_t{zones} * comps.size(),
-                              FieldRange{kInf, -kInf});
-
-  const std::byte* base = buf.bytes().data();
-  const std::size_t rs = buf.record_size();
-  std::uint32_t z = 0;
-  std::uint64_t next = zone_begin(lod, 1, n);
-  // Record-major: each record updates all of its zone's component ranges
-  // while it sits in cache.
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (i == next) {
-      ++z;
-      next = zone_begin(lod, z + 1, n);
+  // Runs of four consecutive f64 components take the vector kernel; the
+  // rest take the scalar loop.
+  const auto quad_at = [&](std::size_t c) {
+    if (c + 4 > comps_.size()) return false;
+    for (std::size_t k = 0; k < 4; ++k)
+      if (!comps_[c + k].f64 ||
+          comps_[c + k].offset != comps_[c].offset + k * sizeof(double))
+        return false;
+    return true;
+  };
+  for (std::size_t c = 0; c < comps_.size();) {
+    if (quad_at(c)) {
+      quads_.push_back(comps_[c]);
+      c += 4;
+    } else {
+      scalars_.push_back(comps_[c]);
+      c += 1;
     }
-    const std::byte* rec = base + i * rs;
-    FieldRange* zr = out.data() + std::size_t{z} * comps.size();
-    for (std::size_t c = 0; c < comps.size(); ++c) {
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  zones_.assign(std::size_t{zone_file_count(lod, n)} * comps_.size(),
+                FieldRange{kInf, -kInf});
+  next_ = zone_begin(lod, 1, n);
+}
+
+void ZoneAccumulator::add(std::span<const std::byte> records) {
+  SPIO_EXPECTS(records.size() % record_size_ == 0);
+  const std::byte* base = records.data();
+  std::uint64_t left = records.size() / record_size_;
+  SPIO_EXPECTS(left <= n_ - seen_);
+  while (left > 0) {
+    if (seen_ == next_) {
+      ++zone_;
+      next_ = zone_begin(lod_, zone_ + 1, n_);
+    }
+    // Records up to the next zone boundary all fold into one zone.
+    const auto count = static_cast<std::size_t>(
+        std::min<std::uint64_t>({left, next_ - seen_, block_}));
+    fold(base, count, zones_.data() + std::size_t{zone_} * comps_.size());
+    base += count * record_size_;
+    seen_ += count;
+    left -= count;
+  }
+}
+
+void ZoneAccumulator::fold(const std::byte* base, std::size_t count,
+                           FieldRange* zr) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Up to four quads share one vector pass over the records.
+  bool vector = !quads_.empty();
+  for (std::size_t g = 0; vector && g < quads_.size(); g += 4) {
+    const std::size_t nq = std::min<std::size_t>(4, quads_.size() - g);
+    std::size_t offsets[4] = {};
+    double lo[16] = {}, hi[16] = {};
+    for (std::size_t q = 0; q < nq; ++q) {
+      offsets[q] = quads_[g + q].offset;
+      for (std::size_t k = 0; k < 4; ++k) {
+        lo[4 * q + k] = zr[quads_[g + q].index + k].min;
+        hi[4 * q + k] = zr[quads_[g + q].index + k].max;
+      }
+    }
+    unsigned nan = 0;
+    // Below AVX2 the kernel declines and every component takes the
+    // scalar loop (min/max are idempotent, so nothing is counted twice).
+    vector = simd::minmax_f64x4(base, record_size_, count, offsets, nq, lo,
+                                hi, &nan);
+    for (std::size_t j = 0; vector && j < 4 * nq; ++j) {
+      // Filter kernels pass NaN, so a zone that saw one matches everything.
+      zr[quads_[g + j / 4].index + j % 4] =
+          (nan >> j) & 1u ? FieldRange{-kInf, kInf} : FieldRange{lo[j], hi[j]};
+    }
+  }
+  // Record-major: each record updates all of its scalar component ranges
+  // while it sits in cache.
+  const std::vector<Comp>& comps = vector ? scalars_ : comps_;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::byte* rec = base + i * record_size_;
+    for (const Comp& c : comps) {
       double v;
-      if (comps[c].f64) {
-        std::memcpy(&v, rec + comps[c].offset, sizeof(double));
+      if (c.f64) {
+        std::memcpy(&v, rec + c.offset, sizeof(double));
       } else {
         float fv;
-        std::memcpy(&fv, rec + comps[c].offset, sizeof(float));
+        std::memcpy(&fv, rec + c.offset, sizeof(float));
         v = static_cast<double>(fv);
       }
+      FieldRange& r = zr[c.index];
       if (std::isnan(v)) {
-        // Filter kernels pass NaN, so the zone must match everything.
-        zr[c] = {-kInf, kInf};
+        r = {-kInf, kInf};
       } else {
-        zr[c].min = std::min(zr[c].min, v);
-        zr[c].max = std::max(zr[c].max, v);
+        r.min = std::min(r.min, v);
+        r.max = std::max(r.max, v);
       }
     }
   }
-  return out;
+}
+
+std::vector<FieldRange> ZoneAccumulator::take() {
+  SPIO_EXPECTS(seen_ == n_);
+  return std::move(zones_);
+}
+
+std::vector<FieldRange> compute_zone_maps(const ParticleBuffer& buf,
+                                          const LodParams& lod) {
+  if (buf.empty()) return {};
+  ZoneAccumulator acc(buf.schema(), lod, buf.size());
+  acc.add(buf.bytes());
+  return acc.take();
 }
 
 std::vector<FieldRange> zone_union(const std::vector<FieldRange>& zones,

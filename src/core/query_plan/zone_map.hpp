@@ -2,9 +2,9 @@
 
 /// \file zone_map.hpp
 /// Per-file, per-LOD-level field statistics ("zone maps"): the min/max of
-/// every field component over each LOD level of a data file, computed by
-/// the aggregators right after the LOD shuffle and persisted as the
-/// `zones.spio` sidecar (docs/FORMAT.md). The planner uses them to skip
+/// every field component over each LOD level of a data file, folded by
+/// the aggregators from each chunk as the file streams out and persisted
+/// as the `zones.spio` sidecar (docs/FORMAT.md). The planner uses them to skip
 /// whole files, and LOD tails within files, that provably contain no
 /// records matching a range filter or query box.
 ///
@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <vector>
 
 #include "core/metadata.hpp"
@@ -71,8 +72,50 @@ struct ZoneMapTable {
   static bool present(const std::filesystem::path& dir);
 };
 
-/// One record-major pass over a LOD-ordered buffer: the zone-major
-/// min/max table of every field component. Empty buffer -> empty table.
+/// Builds one file's zone table from its records streamed in file order,
+/// in chunks of any size: any split gives the table one pass over the
+/// whole file would. Runs of four consecutive f64 components fold with
+/// the AVX2 min/max kernel (simd::minmax_f64x4); the other components,
+/// and all of them below AVX2, take a scalar record-major loop. Both
+/// paths compute exactly `std::min(cur, v)`/`std::max(cur, v)` per
+/// component and poison a zone that saw a NaN to [-inf, +inf].
+class ZoneAccumulator {
+ public:
+  /// For a file of `n` records of schema `s`.
+  ZoneAccumulator(const Schema& s, const LodParams& lod, std::uint64_t n);
+
+  /// Fold the file's next whole records.
+  void add(std::span<const std::byte> records);
+
+  /// The zone-major table; call once, after all `n` records were added.
+  std::vector<FieldRange> take();
+
+ private:
+  struct Comp {
+    std::size_t index;   // component number, the table column
+    std::size_t offset;  // byte offset in the record
+    bool f64;
+  };
+
+  /// Fold `count` records, all of one zone, into its row `zr`.
+  void fold(const std::byte* base, std::size_t count, FieldRange* zr) const;
+
+  LodParams lod_;
+  std::uint64_t n_;
+  std::size_t record_size_;
+  std::uint64_t block_;
+  std::vector<Comp> comps_;    // every component, in schema order
+  std::vector<Comp> quads_;    // first component of each f64 run of four
+  std::vector<Comp> scalars_;  // the components no run covers
+  std::vector<FieldRange> zones_;
+  std::uint32_t zone_ = 0;
+  std::uint64_t next_ = 0;  // first record of zone_ + 1
+  std::uint64_t seen_ = 0;
+};
+
+/// The whole-buffer call of ZoneAccumulator over a LOD-ordered buffer:
+/// the zone-major min/max table of every field component. Empty buffer
+/// -> empty table.
 std::vector<FieldRange> compute_zone_maps(const ParticleBuffer& buf,
                                           const LodParams& lod);
 

@@ -351,7 +351,7 @@ struct WriteJob {
   WriteJob(simmpi::Comm& c, const PatchDecomposition& d,
            const ParticleBuffer& l, const WriterConfig& cfg)
       : comm(c), decomp(d), local(l), config(cfg), rank(c.rank()),
-        runs(l.record_size()), aggregated(l.schema()) {}
+        runs(l.record_size()) {}
 
   simmpi::Comm& comm;
   const PatchDecomposition& decomp;
@@ -374,12 +374,12 @@ struct WriteJob {
   std::uint64_t incoming_total = 0;
   // exchange_particles: the records aggregated here as byte runs in
   // ascending sender order, and the buffers those runs point into (the
-  // rest point into `local`)
+  // rest point into `local`); kept until the data file is written
   std::vector<std::vector<std::byte>> received;
   std::vector<std::byte> self_owned;
   RecordRuns runs;
-  // reorder
-  ParticleBuffer aggregated;
+  // reorder: the data file's LOD order as indices into `runs`
+  std::vector<std::uint32_t> order;
   // write_data_file
   FileRecord record;
   std::uint64_t crc = 0;
@@ -549,8 +549,7 @@ void exchange_counts(WriteJob& job) {
 }
 
 /// Steps 4 + 5: exchange particles. The aggregator keeps what arrived
-/// where it landed; the reorder stage gathers it into the data file's
-/// order in one copy.
+/// where it landed; the data file is later gathered straight from it.
 void exchange_particles(WriteJob& job) {
   const AggregationPlan& plan = *job.plan;
   const ParticleBuffer& local = job.local;
@@ -627,50 +626,74 @@ void exchange_particles(WriteJob& job) {
   }
 }
 
-/// Step 6: LOD re-ordering, gathered straight from the exchange's runs
-/// into the aggregation buffer; the received payloads are then released.
+/// Step 6: LOD re-ordering — only the permutation; the records stay in
+/// the exchange's runs until the file streams out of them.
 void reorder(WriteJob& job) {
   if (job.runs.size() == 0) return;
-  lod_reorder(job.runs, job.aggregated,
-              stream_seed(job.config.shuffle_seed,
-                          static_cast<std::uint64_t>(job.my_partition)),
-              job.config.heuristic);
-  job.runs = RecordRuns(job.local.record_size());
-  job.received = {};
-  job.self_owned = {};
+  const std::uint64_t seed = stream_seed(
+      job.config.shuffle_seed, static_cast<std::uint64_t>(job.my_partition));
+  job.order = lod_order(job.runs, seed, job.config.heuristic);
 }
 
-/// Step 7: write this aggregator's data file, CRC'd as it streams out.
+/// Step 7: write this aggregator's data file in one streamed pass. The
+/// LOD order is gathered from the runs in L2-sized chunks into one reused
+/// buffer; each chunk folds into the zone table, then is written and
+/// CRC'd while still in cache. A rewrite under fault injection runs the
+/// gather again; the zones are taken on the first run only.
 void write_data_file(WriteJob& job) {
   const WriterConfig& config = job.config;
-  const ParticleBuffer& aggregated = job.aggregated;
-  if (job.my_partition < 0 || aggregated.empty()) return;
+  const std::uint64_t n = job.runs.size();
+  if (job.my_partition < 0 || n == 0) return;
+  const Schema& schema = job.local.schema();
   FileRecord& rec = job.record;
   rec.partition_id = static_cast<std::uint32_t>(job.my_partition);
   rec.aggregator_rank = static_cast<std::uint32_t>(job.rank);
-  rec.particle_count = aggregated.size();
+  rec.particle_count = n;
   rec.bounds = job.plan->partitioning().partition_box(job.my_partition);
-  // One pass produces both artifacts: the per-LOD-level zone table and,
-  // as the union of its zones, the file-level field ranges.
-  job.zones = compute_zone_maps(aggregated, config.lod);
+
+  constexpr std::size_t kChunkBytes = std::size_t{256} << 10;
+  const std::size_t step =
+      std::max<std::size_t>(1, kChunkBytes / schema.record_size());
+  ZoneAccumulator zones(schema, config.lod, n);
+  bool zoned = false;
+  ParticleBuffer chunk(schema);
+  chunk.reserve(step);
+  const ChunkProducer produce = [&](const ChunkSink& sink) {
+    const std::span<const std::uint32_t> order = job.order;
+    for (std::size_t k = 0; k < order.size(); k += step) {
+      chunk.clear();
+      lod_gather(job.runs, order.subspan(k, std::min(step, order.size() - k)),
+                 chunk);
+      if (!zoned) zones.add(chunk.bytes());
+      sink(chunk.bytes());
+    }
+    zoned = true;
+  };
+  const auto path = config.dir / rec.file_name();
+  const std::uint64_t bytes = n * schema.record_size();
+  // Under fault injection: read back, compare checksums, rewrite torn or
+  // corrupted attempts within a bounded budget.
+  job.crc = config.faults
+                ? faultsim::checked_write_file(path, bytes, produce,
+                                               config.faults, job.rank)
+                : crc64_write_stream(path, produce);
+  // The zone table and, as the union of its zones, the file-level field
+  // ranges.
+  job.zones = zones.take();
   if (config.write_field_ranges) {
     std::size_t rcount = 0;
-    for (const FieldDesc& fd : job.local.schema().fields())
-      rcount += fd.components;
+    for (const FieldDesc& fd : schema.fields()) rcount += fd.components;
     rec.field_ranges = zone_union(job.zones, rcount);
   }
-  const auto path = config.dir / rec.file_name();
-  // Under fault injection: read back, compare checksums, rewrite torn or
-  // corrupted attempts within a bounded budget. Otherwise the CRC streams
-  // alongside the write — one pass over the buffer, not two.
-  job.crc = config.faults
-                ? faultsim::checked_write_file(path, aggregated.bytes(),
-                                               config.faults, job.rank)
-                : crc64_write_file(path, aggregated.bytes());
-  job.stats.particles_written = aggregated.size();
-  job.stats.bytes_written = aggregated.byte_size();
+  job.stats.particles_written = n;
+  job.stats.bytes_written = bytes;
   job.stats.files_written = 1;
   job.stats.was_aggregator = true;
+  // The file is out: release what the exchange received.
+  job.order = {};
+  job.runs = RecordRuns(schema.record_size());
+  job.received = {};
+  job.self_owned = {};
 }
 
 /// This rank's entry in the commit gather (empty when it wrote no file):

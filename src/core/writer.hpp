@@ -7,8 +7,10 @@
 ///   plan_aggregation    set up the grid, select aggregators  (§3.1–3.2)
 ///   exchange_counts     exchange particle counts             (§3.3)
 ///   exchange_particles  exchange particles, keep them as runs (§3.3)
-///   reorder             gather the runs in LOD order         (§3.4)
-///   write_data_file     write one data file per partition    (§3.4)
+///   reorder             the LOD permutation of the runs      (§3.4)
+///   write_data_file     stream one data file per partition   (§3.4)
+///                       from the runs: gather an L2-sized chunk,
+///                       fold its zones, write and CRC it
 ///   commit_metadata     gather bounds, write the metadata    (§3.5)
 ///
 /// The adaptive variant (§6) prepends an all-to-all extent exchange and
@@ -81,7 +83,7 @@ struct WriterConfig {
   /// applies; used by tests to check both paths agree.
   bool force_general_exchange = false;
 
-  /// Upper bound on one aggregator's assembled buffer, in bytes
+  /// Upper bound on the bytes one aggregator receives, in bytes
   /// (0 = unlimited). §3.1 notes that all-to-one aggregation "is not
   /// feasible due to limitations in the available memory on a single
   /// core"; this guard turns that silent OOM into a diagnosable

@@ -1,5 +1,6 @@
 #include "faultsim/checked_io.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -11,16 +12,51 @@
 
 namespace spio::faultsim {
 
+namespace {
+
+/// Write one attempt of the `size`-byte stream to `path`, with `fault`
+/// applied: a torn write keeps only the first half, a corrupt byte flips
+/// the byte at a third of the file in the chunk that holds it. `crc`,
+/// when given, checksums the intended bytes as they stream past.
+void write_attempt(const std::filesystem::path& path,
+                   const ChunkProducer& produce, FileFaultKind fault,
+                   std::uint64_t size, Crc64* crc) {
+  std::uint64_t keep = ~std::uint64_t{0};  // bytes that reach the file
+  std::uint64_t flip = ~std::uint64_t{0};  // offset of the flipped byte
+  if (fault == FileFaultKind::kTornWrite) keep = size / 2;
+  if (fault == FileFaultKind::kCorruptByte && size > 0) flip = size / 3;
+  std::uint64_t off = 0;
+  crc64_write_stream(path, [&](const ChunkSink& sink) {
+    produce([&](std::span<const std::byte> chunk) {
+      if (crc) crc->update(chunk);
+      const std::uint64_t end = off + chunk.size();
+      if (off < keep) {
+        const std::span<const std::byte> kept =
+            chunk.first(static_cast<std::size_t>(std::min(end, keep) - off));
+        if (flip >= off && flip < off + kept.size()) {
+          const auto at = static_cast<std::size_t>(flip - off);
+          const std::byte bad = kept[at] ^ std::byte{0x40};
+          sink(kept.first(at));
+          sink({&bad, 1});
+          sink(kept.subspan(at + 1));
+        } else {
+          sink(kept);
+        }
+      }
+      off = end;
+    });
+  });
+}
+
+}  // namespace
+
 std::uint64_t checked_write_file(const std::filesystem::path& path,
-                                 std::span<const std::byte> data,
+                                 std::uint64_t size,
+                                 const ChunkProducer& produce,
                                  FaultInjector* injector, int rank,
                                  const CheckedIoPolicy& policy) {
   SPIO_EXPECTS(policy.max_attempts > 0);
-  // On the fault-free path the CRC is computed *during* the data write
-  // (one pass over the buffer); fault paths pre-compute it because they
-  // write something other than `data`.
-  std::uint64_t want = 0;
-  bool have_want = false;
+  Crc64 want;
   if (obs::enabled())
     obs::MetricsRegistry::global().counter("faultsim.checked_writes").add(1);
 
@@ -37,51 +73,18 @@ std::uint64_t checked_write_file(const std::filesystem::path& path,
         injector ? injector->next_file_fault(rank, path.filename().string())
                  : FileFaultKind::kNone;
 
-    bool flush_failed = false;
-    switch (fault) {
-      case FileFaultKind::kTornWrite: {
-        // Only a prefix reaches the disk (crash or full device mid-write).
-        if (!have_want) {
-          want = crc64(data);
-          have_want = true;
-        }
-        write_file(path, data.subspan(0, data.size() / 2));
-        break;
-      }
-      case FileFaultKind::kCorruptByte: {
-        if (!have_want) {
-          want = crc64(data);
-          have_want = true;
-        }
-        std::vector<std::byte> bad(data.begin(), data.end());
-        if (!bad.empty()) bad[bad.size() / 3] ^= std::byte{0x40};
-        write_file(path, bad);
-        break;
-      }
-      case FileFaultKind::kFailedSync: {
-        // The data reached the page cache but the flush failed; the
-        // on-disk state is untrustworthy, so the attempt must not count
-        // as durable even though a read-back could succeed.
-        want = crc64_write_file(path, data);
-        have_want = true;
-        flush_failed = true;
-        break;
-      }
-      case FileFaultKind::kNone:
-      case FileFaultKind::kBitRot: {
-        want = crc64_write_file(path, data);
-        have_want = true;
-        break;
-      }
-    }
+    // The intended bytes' CRC is taken once, on the stream's first run,
+    // whatever that attempt writes; later attempts only write.
+    write_attempt(path, produce, fault, size, attempt == 1 ? &want : nullptr);
+    // A failed flush: the data reached the page cache but the on-disk
+    // state is untrustworthy, so the attempt must not count as durable
+    // even though a read-back could succeed.
+    const bool flush_failed = fault == FileFaultKind::kFailedSync;
 
     // Read back and revalidate; a torn or corrupted write is caught here
     // and rewritten, up to the budget. The read-back streams through a
     // fixed-size chunk buffer instead of materializing the whole file.
-    bool valid = !flush_failed;
-    if (valid) {
-      valid = crc64_file(path) == want;
-    }
+    const bool valid = !flush_failed && crc64_file(path) == want.value();
     if (valid) {
       if (fault == FileFaultKind::kBitRot) {
         // Corrupt *after* validation passed: silent on the write path by
@@ -90,7 +93,7 @@ std::uint64_t checked_write_file(const std::filesystem::path& path,
         if (!rotted.empty()) rotted[rotted.size() / 2] ^= std::byte{0x01};
         write_file(path, rotted);
       }
-      return want;
+      return want.value();
     }
 
     if (attempt >= policy.max_attempts) {
@@ -106,6 +109,15 @@ std::uint64_t checked_write_file(const std::filesystem::path& path,
                        << path.string() << "' after " << attempt
                        << " write attempts");
   }
+}
+
+std::uint64_t checked_write_file(const std::filesystem::path& path,
+                                 std::span<const std::byte> data,
+                                 FaultInjector* injector, int rank,
+                                 const CheckedIoPolicy& policy) {
+  return checked_write_file(
+      path, data.size(), [data](const ChunkSink& sink) { sink(data); },
+      injector, rank, policy);
 }
 
 }  // namespace spio::faultsim

@@ -73,4 +73,14 @@ bool bin_by_owner(const PositionMirror& mirror,
   return true;
 }
 
+bool minmax_f64x4(const std::byte* base, std::size_t record_size,
+                  std::size_t count, const std::size_t* offsets,
+                  std::size_t quads, double* lo, double* hi,
+                  unsigned* nan_lanes) {
+  if (active_level() != Level::kAVX2 || quads < 1 || quads > 4) return false;
+  detail::minmax_f64x4_avx2(base, record_size, count, offsets, quads, lo, hi,
+                            nan_lanes);
+  return true;
+}
+
 }  // namespace spio::simd

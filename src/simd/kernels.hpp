@@ -2,7 +2,9 @@
 
 /// \file kernels.hpp
 /// Explicitly vectorized read-path kernels over the SoA position mirror
-/// (docs/PERF.md "SIMD kernels"). Each kernel evaluates its predicate as
+/// (docs/PERF.md "SIMD kernels"), plus one write-side kernel, the zone
+/// maps' min/max fold (`minmax_f64x4`, contract at its declaration).
+/// Each read kernel evaluates its predicate as
 /// SIMD masks over the mirror's contiguous x/y/z arrays, converts the
 /// masks to runs, then reserves the output exactly and copies the
 /// matching runs from the *AoS* byte buffer in record order with one
@@ -77,5 +79,18 @@ bool bin_by_owner(const PositionMirror& mirror,
                   std::span<const std::byte> bytes, std::size_t record_size,
                   const PatchDecomposition& decomp,
                   std::vector<ParticleBuffer>& outgoing);
+
+/// Write-side zone kernel: over `count` records at `base` (stride
+/// `record_size`), fold `quads` (1 to 4) runs of four consecutive f64 —
+/// quad q at byte `offsets[q]` — into `lo[4q..4q+4)`/`hi[4q..4q+4)`
+/// exactly as `lo = std::min(lo, v)`, `hi = std::max(hi, v)` would (a NaN
+/// leaves both untouched), and set bit 4q+k of `*nan_lanes` when lane k
+/// of quad q saw a NaN. One record-major pass serves every quad. AVX2
+/// only: returns false (no-op) at any lower level, and the caller runs
+/// its scalar loop.
+bool minmax_f64x4(const std::byte* base, std::size_t record_size,
+                  std::size_t count, const std::size_t* offsets,
+                  std::size_t quads, double* lo, double* hi,
+                  unsigned* nan_lanes);
 
 }  // namespace spio::simd

@@ -68,6 +68,55 @@ void bin_by_owner_avx2(const PositionMirror& mirror, const std::byte* base,
   bin_by_owner_body<TraitsAVX2>(mirror, base, record_size, decomp, outgoing);
 }
 
+namespace {
+
+/// `minmax_f64x4_avx2` for exactly N quads: one record-major pass keeps
+/// every quad's accumulators in registers, so the N dependency chains
+/// overlap and the records stream in once.
+template <std::size_t N>
+void minmax_quads(const std::byte* base, std::size_t record_size,
+                  std::size_t count, const std::size_t* offsets, double* lo,
+                  double* hi, unsigned* nan_lanes) {
+  // MINPD/MAXPD return their second operand unless the first compares
+  // strictly less/greater, so min(v, cur) and max(v, cur) are exactly
+  // std::min(cur, v) and std::max(cur, v), -0.0/+0.0 and NaN included.
+  __m256d vlo[N], vhi[N], nan[N];
+#pragma GCC unroll 4
+  for (std::size_t q = 0; q < N; ++q) {
+    vlo[q] = _mm256_loadu_pd(lo + 4 * q);
+    vhi[q] = _mm256_loadu_pd(hi + 4 * q);
+    nan[q] = _mm256_setzero_pd();
+  }
+  for (std::size_t i = 0; i < count; ++i, base += record_size) {
+#pragma GCC unroll 4
+    for (std::size_t q = 0; q < N; ++q) {
+      const __m256d v =
+          _mm256_loadu_pd(reinterpret_cast<const double*>(base + offsets[q]));
+      vlo[q] = _mm256_min_pd(v, vlo[q]);
+      vhi[q] = _mm256_max_pd(v, vhi[q]);
+      nan[q] = _mm256_or_pd(nan[q], _mm256_cmp_pd(v, v, _CMP_UNORD_Q));
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t q = 0; q < N; ++q) {
+    _mm256_storeu_pd(lo + 4 * q, vlo[q]);
+    _mm256_storeu_pd(hi + 4 * q, vhi[q]);
+    *nan_lanes |= static_cast<unsigned>(_mm256_movemask_pd(nan[q])) << (4 * q);
+  }
+}
+
+}  // namespace
+
+void minmax_f64x4_avx2(const std::byte* base, std::size_t record_size,
+                       std::size_t count, const std::size_t* offsets,
+                       std::size_t quads, double* lo, double* hi,
+                       unsigned* nan_lanes) {
+  // The dispatcher passes 1 to 4 quads.
+  constexpr decltype(&minmax_quads<1>) kByQuads[] = {
+      minmax_quads<1>, minmax_quads<2>, minmax_quads<3>, minmax_quads<4>};
+  kByQuads[quads - 1](base, record_size, count, offsets, lo, hi, nan_lanes);
+}
+
 }  // namespace detail
 }  // namespace spio::simd
 
@@ -97,6 +146,12 @@ std::uint64_t filter_box_ranges_avx2(const PositionMirror&, const std::byte*,
 void bin_by_owner_avx2(const PositionMirror&, const std::byte*, std::size_t,
                        const PatchDecomposition&,
                        std::vector<ParticleBuffer>&) {
+  std::abort();
+}
+
+void minmax_f64x4_avx2(const std::byte*, std::size_t, std::size_t,
+                       const std::size_t*, std::size_t, double*, double*,
+                       unsigned*) {
   std::abort();
 }
 

@@ -53,5 +53,10 @@ void bin_by_owner_avx2(const PositionMirror& mirror, const std::byte* base,
                        const PatchDecomposition& decomp,
                        std::vector<ParticleBuffer>& outgoing);
 
+void minmax_f64x4_avx2(const std::byte* base, std::size_t record_size,
+                       std::size_t count, const std::size_t* offsets,
+                       std::size_t quads, double* lo, double* hi,
+                       unsigned* nan_lanes);
+
 }  // namespace detail
 }  // namespace spio::simd

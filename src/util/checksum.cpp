@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "util/checksum_isa.hpp"
 #include "util/error.hpp"
 
 namespace spio {
@@ -41,8 +44,8 @@ constexpr std::array<std::array<std::uint64_t, 256>, 16> make_tables() {
 constexpr std::array<std::array<std::uint64_t, 256>, 16> kTables =
     make_tables();
 
-std::uint64_t update_raw(std::uint64_t crc, const std::byte* p,
-                         std::size_t n) {
+std::uint64_t update_sliced(std::uint64_t crc, const std::byte* p,
+                            std::size_t n) {
   // Head: align to the word loop (any split is fine; the tables compose).
   while (n > 0 && (reinterpret_cast<std::uintptr_t>(p) & 7) != 0) {
     crc = kTables[0][(crc ^ static_cast<std::uint64_t>(*p)) & 0xFF] ^
@@ -97,6 +100,44 @@ std::uint64_t update_raw(std::uint64_t crc, const std::byte* p,
   return crc;
 }
 
+/// Whether the carry-less-multiply fold runs: the CPU has PCLMULQDQ, the
+/// toolchain built the kernel, and `SPIO_SIMD` (the SIMD kernels' cap,
+/// docs/PERF.md) does not hold the process at SSE2 or below.
+bool clmul_active() {
+  static const bool active = [] {
+#if (defined(__x86_64__) || defined(_M_X64)) && \
+    (defined(__GNUC__) || defined(__clang__))
+    if (!crc_detail::clmul_compiled() || !__builtin_cpu_supports("pclmul"))
+      return false;
+    const char* env = std::getenv("SPIO_SIMD");
+    if (env == nullptr) return true;
+    const std::string cap(env);
+    return cap != "off" && cap != "scalar" && cap != "0" && cap != "sse2";
+#else
+    return false;
+#endif
+  }();
+  return active;
+}
+
+/// The fold starts from four 16-byte lanes.
+constexpr std::size_t kFoldMin = 64;
+
+std::uint64_t update_raw(std::uint64_t crc, const std::byte* p,
+                         std::size_t n) {
+  if (n >= kFoldMin && clmul_active()) {
+    // Fold the 16-byte blocks into one, which carries the same weight;
+    // the tables finish it and the tail, so no Barrett step is needed.
+    const std::size_t body = n & ~std::size_t{15};
+    std::byte folded[16] = {};
+    crc_detail::fold_clmul(crc, p, body, folded);
+    crc = update_sliced(0, folded, sizeof(folded));
+    p += body;
+    n -= body;
+  }
+  return update_sliced(crc, p, n);
+}
+
 // Chunk size for the combined write+checksum and streamed-read passes:
 // large enough to amortize stdio calls, small enough to stay in L2.
 constexpr std::size_t kIoChunk = 1 << 20;
@@ -117,6 +158,12 @@ std::uint64_t crc64(std::span<const std::byte> data) {
   return ~update_raw(~0ULL, data.data(), data.size());
 }
 
+std::uint64_t crc64_sliced(std::span<const std::byte> data) {
+  return ~update_sliced(~0ULL, data.data(), data.size());
+}
+
+bool crc64_uses_clmul() { return clmul_active(); }
+
 std::uint64_t crc64_bytewise(std::span<const std::byte> data) {
   std::uint64_t crc = ~0ULL;
   for (const std::byte b : data) {
@@ -126,27 +173,33 @@ std::uint64_t crc64_bytewise(std::span<const std::byte> data) {
   return ~crc;
 }
 
-std::uint64_t crc64_write_file(const std::filesystem::path& path,
-                               std::span<const std::byte> bytes) {
+std::uint64_t crc64_write_stream(const std::filesystem::path& path,
+                                 const ChunkProducer& produce) {
   std::unique_ptr<std::FILE, FileCloser> f(
       std::fopen(path.string().c_str(), "wb"));
   SPIO_CHECK(f != nullptr, IoError,
              "cannot open '" << path.string() << "' for writing");
   Crc64 crc;
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const std::size_t n = std::min(kIoChunk, bytes.size() - off);
-    const std::span<const std::byte> chunk = bytes.subspan(off, n);
-    // Checksum the chunk while it is hot in cache from the write.
+  std::uint64_t off = 0;
+  produce([&](std::span<const std::byte> chunk) {
     const std::size_t written =
         std::fwrite(chunk.data(), 1, chunk.size(), f.get());
     SPIO_CHECK(written == chunk.size(), IoError,
-               "short write to '" << path.string() << "': " << off + written
-                                  << " of " << bytes.size() << " bytes");
+               "short write to '" << path.string() << "' after "
+                                  << off + written << " bytes");
+    // Checksum the chunk while it is hot in cache from the write.
     crc.update(chunk);
-    off += n;
-  }
+    off += chunk.size();
+  });
   return crc.value();
+}
+
+std::uint64_t crc64_write_file(const std::filesystem::path& path,
+                               std::span<const std::byte> bytes) {
+  return crc64_write_stream(path, [bytes](const ChunkSink& sink) {
+    for (std::size_t off = 0; off < bytes.size(); off += kIoChunk)
+      sink(bytes.subspan(off, std::min(kIoChunk, bytes.size() - off)));
+  });
 }
 
 std::uint64_t crc64_file(const std::filesystem::path& path) {

@@ -106,8 +106,7 @@ class BinaryReader {
   template <typename T>
   std::vector<T> read_vector() {
     const auto n = read<std::uint64_t>();
-    SPIO_CHECK(n * sizeof(T) <= remaining(), FormatError,
-               "length prefix " << n << " exceeds remaining payload");
+    check_count(n, sizeof(T));
     return read_span<T>(static_cast<std::size_t>(n));
   }
 
@@ -119,6 +118,17 @@ class BinaryReader {
     std::memcpy(s.data(), bytes_.data() + pos_, n);
     pos_ += n;
     return s;
+  }
+
+  /// Throw `FormatError` unless `count` entries of at least `min_bytes`
+  /// each fit in the bytes left. Parsers call this before sizing a
+  /// container from an untrusted count, so a corrupt count fails as a
+  /// format error instead of a huge allocation.
+  void check_count(std::uint64_t count, std::size_t min_bytes) const {
+    SPIO_CHECK(count <= remaining() / min_bytes, FormatError,
+               "count " << count << " of " << min_bytes
+                        << "-byte entries exceeds the remaining "
+                        << remaining() << " bytes");
   }
 
   std::size_t remaining() const { return bytes_.size() - pos_; }

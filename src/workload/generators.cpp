@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -21,46 +23,97 @@ Vec3d clamp_into(const Box3& box, Vec3d p) {
   return p;
 }
 
-void append_particle(ParticleBuffer& buf, const Vec3d& pos, std::uint64_t id,
-                     Xoshiro256& rng) {
-  const std::size_t i = buf.size();
-  buf.append_uninitialized();
-  buf.set_position(i, pos);
-  fill_attributes(buf, i, id, rng);
-}
+/// How one attribute field is filled, decided once per buffer from the
+/// field's name and type so the per-particle loop does no string compares.
+enum class Role : std::uint8_t {
+  kStress,    // symmetric-ish tensor with dominant diagonal, like MPM stress
+  kDensity,
+  kVolume,
+  kId,        // the particle's global id
+  kType,      // f32 material type in [0, 4)
+  kNoiseF64,  // unknown attribute: uniform noise of the right type
+  kNoiseF32,
+};
 
-}  // namespace
+/// Fills the non-position attributes of records with plausible,
+/// deterministic physics-like values (stress, density, volume, global id,
+/// material type). Fields are filled in schema order with the same draws
+/// per field, so the bytes depend only on the schema and the seed.
+class AttributeFiller {
+ public:
+  explicit AttributeFiller(const Schema& s) {
+    for (std::size_t f = 1; f < s.field_count(); ++f) {
+      const FieldDesc& fd = s.fields()[f];
+      const bool f64 = fd.type == FieldType::kF64;
+      Role role = f64 ? Role::kNoiseF64 : Role::kNoiseF32;
+      if (fd.name == "stress") role = Role::kStress;
+      if (fd.name == "density") role = Role::kDensity;
+      if (fd.name == "volume") role = Role::kVolume;
+      if (fd.name == "id") role = Role::kId;
+      if (fd.name == "type" && !f64) role = Role::kType;
+      // The named f64 roles only make sense on f64 fields.
+      SPIO_EXPECTS(f64 || role == Role::kType || role == Role::kNoiseF32);
+      fields_.push_back({role, s.offset(f), fd.components});
+    }
+  }
 
-void fill_attributes(ParticleBuffer& buf, std::size_t i, std::uint64_t id,
-                     Xoshiro256& rng) {
-  const Schema& s = buf.schema();
-  for (std::size_t f = 1; f < s.field_count(); ++f) {
-    const FieldDesc& fd = s.fields()[f];
-    if (fd.name == "stress") {
-      // Symmetric-ish tensor with dominant diagonal, like an MPM stress.
-      for (std::uint32_t c = 0; c < fd.components; ++c) {
-        const bool diag = (fd.components == 9) && (c % 4 == 0);
-        buf.set_f64(i, f, c, (diag ? 1.0e5 : 1.0e3) * rng.normal());
-      }
-    } else if (fd.name == "density") {
-      buf.set_f64(i, f, 0, 1000.0 + 50.0 * rng.normal());
-    } else if (fd.name == "volume") {
-      buf.set_f64(i, f, 0, 1e-9 * (1.0 + 0.1 * rng.uniform()));
-    } else if (fd.name == "id") {
-      buf.set_f64(i, f, 0, static_cast<double>(id));
-    } else if (fd.name == "type" && fd.type == FieldType::kF32) {
-      buf.set_f32(i, f, 0, static_cast<float>(rng.uniform_index(4)));
-    } else {
-      // Unknown attribute: fill with uniform noise of the right type.
-      for (std::uint32_t c = 0; c < fd.components; ++c) {
-        if (fd.type == FieldType::kF64)
-          buf.set_f64(i, f, c, rng.uniform());
-        else
-          buf.set_f32(i, f, c, static_cast<float>(rng.uniform()));
+  void fill(std::byte* rec, std::uint64_t id, Xoshiro256& rng) const {
+    for (const Field& fd : fields_) {
+      std::byte* at = rec + fd.offset;
+      switch (fd.role) {
+        case Role::kStress:
+          for (std::uint32_t c = 0; c < fd.components; ++c) {
+            const bool diag = fd.components == 9 && c % 4 == 0;
+            put<double>(at, c, (diag ? 1.0e5 : 1.0e3) * rng.normal());
+          }
+          break;
+        case Role::kDensity:
+          put<double>(at, 0, 1000.0 + 50.0 * rng.normal());
+          break;
+        case Role::kVolume:
+          put<double>(at, 0, 1e-9 * (1.0 + 0.1 * rng.uniform()));
+          break;
+        case Role::kId:
+          put<double>(at, 0, static_cast<double>(id));
+          break;
+        case Role::kType:
+          put<float>(at, 0, static_cast<float>(rng.uniform_index(4)));
+          break;
+        case Role::kNoiseF64:
+          for (std::uint32_t c = 0; c < fd.components; ++c)
+            put<double>(at, c, rng.uniform());
+          break;
+        case Role::kNoiseF32:
+          for (std::uint32_t c = 0; c < fd.components; ++c)
+            put<float>(at, c, static_cast<float>(rng.uniform()));
+          break;
       }
     }
   }
+
+ private:
+  struct Field {
+    Role role;
+    std::size_t offset;
+    std::uint32_t components;
+  };
+
+  template <typename T>
+  static void put(std::byte* field, std::uint32_t comp, T v) {
+    std::memcpy(field + comp * sizeof(T), &v, sizeof(T));
+  }
+
+  std::vector<Field> fields_;
+};
+
+void append_particle(ParticleBuffer& buf, const AttributeFiller& filler,
+                     const Vec3d& pos, std::uint64_t id, Xoshiro256& rng) {
+  std::byte* rec = buf.append_uninitialized().data();
+  std::memcpy(rec, &pos, sizeof(Vec3d));  // position is field 0
+  filler.fill(rec, id, rng);
 }
+
+}  // namespace
 
 ParticleBuffer uniform(const Schema& schema, const Box3& patch,
                        std::uint64_t count, std::uint64_t seed,
@@ -68,13 +121,14 @@ ParticleBuffer uniform(const Schema& schema, const Box3& patch,
   SPIO_EXPECTS(!patch.is_empty());
   ParticleBuffer buf(schema);
   buf.reserve(count);
+  const AttributeFiller filler(schema);
   Xoshiro256 rng(seed);
   for (std::uint64_t k = 0; k < count; ++k) {
     Vec3d p;
     for (int a = 0; a < 3; ++a)
       p[a] = clamp_open(rng.uniform(patch.lo[a], patch.hi[a]), patch.lo[a],
                         patch.hi[a]);
-    append_particle(buf, p, first_id + k, rng);
+    append_particle(buf, filler, p, first_id + k, rng);
   }
   return buf;
 }
@@ -88,6 +142,7 @@ ParticleBuffer gaussian_clusters(const Schema& schema, const Box3& patch,
   SPIO_EXPECTS(sigma_frac > 0.0);
   ParticleBuffer buf(schema);
   buf.reserve(count);
+  const AttributeFiller filler(schema);
   Xoshiro256 rng(seed);
 
   std::vector<Vec3d> centers;
@@ -103,7 +158,7 @@ ParticleBuffer gaussian_clusters(const Schema& schema, const Box3& patch,
         centers[static_cast<std::size_t>(rng.uniform_index(centers.size()))];
     Vec3d p;
     for (int a = 0; a < 3; ++a) p[a] = ctr[a] + sigma[a] * rng.normal();
-    append_particle(buf, clamp_into(patch, p), first_id + k, rng);
+    append_particle(buf, filler, clamp_into(patch, p), first_id + k, rng);
   }
   return buf;
 }
@@ -130,6 +185,7 @@ ParticleBuffer plummer_sphere(const Schema& schema, const Box3& patch,
   SPIO_EXPECTS(scale_frac > 0.0);
   ParticleBuffer buf(schema);
   buf.reserve(count);
+  const AttributeFiller filler(schema);
   Xoshiro256 rng(seed);
   const Vec3d center = patch.center();
   const double a = scale_frac * patch.size().min_component();
@@ -146,7 +202,7 @@ ParticleBuffer plummer_sphere(const Schema& schema, const Box3& patch,
     const Vec3d p{center.x + r * sin_t * std::cos(phi),
                   center.y + r * sin_t * std::sin(phi),
                   center.z + r * cos_t};
-    append_particle(buf, clamp_into(patch, p), first_id + k, rng);
+    append_particle(buf, filler, clamp_into(patch, p), first_id + k, rng);
   }
   return buf;
 }
@@ -162,6 +218,7 @@ ParticleBuffer injection(const Schema& schema, const Box3& patch,
 
   ParticleBuffer buf(schema);
   buf.reserve(count);
+  const AttributeFiller filler(schema);
   Xoshiro256 rng(seed);
   const double x0 = domain.lo.x;
   const double front_x = front.hi.x;
@@ -175,7 +232,7 @@ ParticleBuffer injection(const Schema& schema, const Box3& patch,
     // probability (1 - progress/2), so the inlet is denser than the front.
     const double progress = (p.x - x0) / std::max(front_x - x0, 1e-300);
     if (rng.uniform() < 1.0 - 0.5 * progress) {
-      append_particle(buf, p, id++, rng);
+      append_particle(buf, filler, p, id++, rng);
     }
   }
   return buf;

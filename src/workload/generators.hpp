@@ -8,7 +8,9 @@
 /// workload (coal-jet style, Fig. 9).
 ///
 /// All generators are deterministic: identical (patch, count, seed) inputs
-/// produce identical particles.
+/// produce identical particles. Each fills the non-position attributes
+/// with plausible physics-like values (stress, density, volume, global
+/// id, material type); fields it does not know get uniform noise.
 
 #include <cstdint>
 
@@ -18,12 +20,6 @@
 #include "workload/schema.hpp"
 
 namespace spio::workload {
-
-/// Fill the non-position attributes of record `i` with plausible,
-/// deterministic physics-like values (stress, density, volume, global id,
-/// material type). A no-op for fields the schema does not have.
-void fill_attributes(ParticleBuffer& buf, std::size_t i, std::uint64_t id,
-                     Xoshiro256& rng);
 
 /// `count` particles uniformly distributed in `patch`.
 ParticleBuffer uniform(const Schema& schema, const Box3& patch,

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -172,6 +174,82 @@ TEST(Crc64, EmptyFileChecksumIsEmptyBufferChecksum) {
   const auto path = dir.path() / "empty.bin";
   EXPECT_EQ(crc64_write_file(path, {}), crc64({}));
   EXPECT_EQ(crc64_file(path), crc64({}));
+}
+
+// ---- carry-less-multiply fold vs both references -----------------------
+// `crc64` takes the PCLMULQDQ fold where the host has it and the slicing
+// tables elsewhere; either way it must equal both `crc64_bytewise` and
+// `crc64_sliced`. The fold consumes 64-byte steps, then 16-byte blocks,
+// then hands the last 16 bytes and the tail to the tables, so the sweeps
+// below cross every one of those boundaries. The ctest entry
+// crc_suite_scalar_fallback runs this suite again under SPIO_SIMD=off.
+
+TEST(Crc64, FoldMatchesReferencesAtEveryLengthAndAlignment) {
+  const auto data = random_bytes(1100 + 16, 21);
+  for (std::size_t align = 0; align < 16; ++align) {
+    for (std::size_t n = 0; n <= 1100; ++n) {
+      const std::span<const std::byte> s{data.data() + align, n};
+      const std::uint64_t want = crc64_bytewise(s);
+      ASSERT_EQ(crc64_sliced(s), want) << "n=" << n << " align=" << align;
+      ASSERT_EQ(crc64(s), want) << "n=" << n << " align=" << align;
+    }
+  }
+}
+
+TEST(Crc64, FoldStreamingMatchesAtRandomSplitPoints) {
+  // Splits land inside the 64-byte fold body, inside the 16-byte blocks
+  // after it, and inside the sub-16-byte tail of each update.
+  const auto data = random_bytes(3000, 22);
+  const std::uint64_t want = crc64_bytewise(data);
+  Xoshiro256 rng(23);
+  for (int trial = 0; trial < 2000; ++trial) {
+    Crc64 crc;
+    std::size_t off = 0;
+    while (off < data.size()) {
+      const std::size_t n = std::min<std::size_t>(
+          rng.uniform_index(trial % 2 == 0 ? 200 : 1200), data.size() - off);
+      crc.update({data.data() + off, n});
+      off += n;
+    }
+    ASSERT_EQ(crc.value(), want) << "trial " << trial;
+  }
+  for (std::size_t k = 0; k <= 300; ++k) {  // every split of a short head
+    Crc64 crc;
+    crc.update({data.data(), k});
+    crc.update({data.data() + k, data.size() - k});
+    ASSERT_EQ(crc.value(), want) << "split at " << k;
+  }
+}
+
+TEST(Crc64, FoldMatchesReferencesOnAThirtyTwoMegabyteBuffer) {
+  const auto data = random_bytes(std::size_t{32} << 20, 24);
+  const std::uint64_t want = crc64_bytewise(data);
+  EXPECT_EQ(crc64_sliced(data), want);
+  EXPECT_EQ(crc64(data), want);
+}
+
+TEST(Crc64, SimdOffForcesThePortablePath) {
+  // Meaningful under crc_suite_scalar_fallback; elsewhere the fold may or
+  // may not run, depending on the host.
+  const char* env = std::getenv("SPIO_SIMD");
+  if (env != nullptr && std::string(env) == "off") {
+    EXPECT_FALSE(crc64_uses_clmul());
+  }
+}
+
+TEST(Crc64, WriteFileFromAProducerChecksumsEveryChunk) {
+  TempDir dir("crc64-producer");
+  const auto data = random_bytes(10000, 25);
+  const auto path = dir.file("stream.bin");
+  const std::uint64_t crc =
+      crc64_write_stream(path, [&](const ChunkSink& sink) {
+        for (std::size_t off = 0; off < data.size(); off += 777)
+          sink({data.data() + off,
+                std::min<std::size_t>(777, data.size() - off)});
+      });
+  EXPECT_EQ(crc, crc64_bytewise(data));
+  EXPECT_EQ(crc64_file(path), crc);
+  EXPECT_EQ(std::filesystem::file_size(path), data.size());
 }
 
 }  // namespace

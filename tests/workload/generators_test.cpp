@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "util/checksum.hpp"
+
 namespace spio::workload {
 namespace {
 
@@ -196,6 +201,58 @@ TEST(Injection, RanksOutsideFrontAreEmpty) {
   const Box3 far_patch({8, 0, 0}, {10, 10, 10});
   EXPECT_TRUE(
       injection(Schema::uintah(), far_patch, domain, 0.5, 100, 3).empty());
+}
+
+// Generator output is pinned byte for byte: the Uintah checkpoint
+// workload, plus a schema that reaches every attribute rule (a
+// non-tensor `stress`, an f64 `type`, unknown f64 and f32 fields).
+const Schema& odd_schema() {
+  static const Schema s({{"position", FieldType::kF64, 3},
+                         {"stress", FieldType::kF64, 4},
+                         {"type", FieldType::kF64, 1},
+                         {"velocity", FieldType::kF64, 3},
+                         {"id", FieldType::kF64, 1},
+                         {"charge", FieldType::kF32, 2},
+                         {"density", FieldType::kF64, 1}});
+  return s;
+}
+
+std::string digest(const ParticleBuffer& buf) {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(crc64(buf.bytes())));
+  return hex;
+}
+
+TEST(GeneratorGolden, Uniform) {
+  EXPECT_EQ(digest(uniform(Schema::uintah(), kPatch, 3000, 11, 7)),
+            "c794b1be7f5285a6");
+  EXPECT_EQ(digest(uniform(odd_schema(), kPatch, 3000, 11, 7)),
+            "93997917fdc995c5");
+}
+
+TEST(GeneratorGolden, GaussianClusters) {
+  EXPECT_EQ(digest(gaussian_clusters(Schema::uintah(), kPatch, 3000, 5, 0.05,
+                                     12, 3)),
+            "6b9f976735fd871e");
+  EXPECT_EQ(
+      digest(gaussian_clusters(odd_schema(), kPatch, 3000, 5, 0.05, 12, 3)),
+      "7034a39056993dbb");
+}
+
+TEST(GeneratorGolden, PlummerSphere) {
+  EXPECT_EQ(digest(plummer_sphere(Schema::uintah(), kPatch, 3000, 0.1, 13)),
+            "241f057e1d4e9eae");
+  EXPECT_EQ(digest(plummer_sphere(odd_schema(), kPatch, 3000, 0.1, 13)),
+            "54569a46f746447c");
+}
+
+TEST(GeneratorGolden, Injection) {
+  const Box3 domain({0, 0, 0}, {10, 10, 10});
+  EXPECT_EQ(digest(injection(Schema::uintah(), domain, domain, 0.7, 3000, 14)),
+            "b32b30cab137b93f");
+  EXPECT_EQ(digest(injection(odd_schema(), domain, domain, 0.7, 3000, 14)),
+            "5803d8df57d12b75");
 }
 
 }  // namespace
