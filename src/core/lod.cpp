@@ -51,9 +51,13 @@ std::uint64_t lod_level_size_capped(const LodParams& p, int n_readers,
 }
 
 int lod_level_count(const LodParams& p, int n_readers, std::uint64_t total) {
-  if (total == 0) return 0;
+  // One accumulating pass: the same sums `lod_cumulative` takes, each
+  // level added once.
   int levels = 0;
-  while (lod_cumulative(p, n_readers, levels, total) < total) ++levels;
+  for (std::uint64_t cum = 0; cum < total; ++levels) {
+    const std::uint64_t sz = nominal(p, n_readers, levels);
+    cum = sz >= total - cum ? total : cum + sz;
+  }
   return levels;
 }
 

@@ -24,6 +24,24 @@ std::uint64_t zone_begin(const LodParams& lod, std::uint32_t z,
   return lod_cumulative(lod, 1, static_cast<int>(z), n);
 }
 
+namespace {
+
+/// `zones == zone_file_count(lod, n)` for n > 0, decided in at most
+/// `zones + 1` level steps: a hostile sidecar (S = 1 and a huge n) cannot
+/// make the parser walk the law to its end.
+bool zone_count_law_holds(const LodParams& lod, std::uint32_t zones,
+                          std::uint64_t n) {
+  std::uint64_t cum = 0;
+  for (std::uint32_t z = 0; z < zones; ++z) {
+    if (cum >= n) return false;  // n is covered in fewer zones
+    const std::uint64_t sz = lod_level_size(lod, 1, static_cast<int>(z));
+    cum = sz >= n - cum ? n : cum + sz;
+  }
+  return cum >= n;
+}
+
+}  // namespace
+
 const FileZones* ZoneMapTable::find(std::uint32_t aggregator_rank) const {
   const auto it = std::lower_bound(
       files.begin(), files.end(), aggregator_rank,
@@ -76,6 +94,8 @@ ZoneMapTable ZoneMapTable::deserialize(std::span<const std::byte> bytes) {
   SPIO_CHECK(r.read<std::uint32_t>() == kVersion, FormatError,
              "unsupported zone sidecar version");
   t.range_count = r.read<std::uint32_t>();
+  SPIO_CHECK(t.range_count > 0, FormatError,
+             "zone sidecar has no field components");
   t.lod.P = r.read<std::uint64_t>();
   t.lod.S = r.read<double>();
   SPIO_CHECK(t.lod.valid(), FormatError,
@@ -94,12 +114,13 @@ ZoneMapTable ZoneMapTable::deserialize(std::span<const std::byte> bytes) {
                    t.files.back().aggregator_rank < f.aggregator_rank,
                FormatError, "zone sidecar entries out of order");
     const auto zones = r.read<std::uint32_t>();
-    SPIO_CHECK(zones == zone_file_count(t.lod, f.particle_count),
+    // Bytes first: they bound `zones`, and so the law check's steps.
+    const std::uint64_t ranges = std::uint64_t{zones} * t.range_count;
+    r.check_count(ranges, 2 * sizeof(double));
+    SPIO_CHECK(zone_count_law_holds(t.lod, zones, f.particle_count),
                FormatError,
                "zone sidecar entry " << i
                                      << " violates the LOD zone-count law");
-    const std::uint64_t ranges = std::uint64_t{zones} * t.range_count;
-    r.check_count(ranges, 2 * sizeof(double));
     f.zones.resize(static_cast<std::size_t>(ranges));
     for (FieldRange& z : f.zones) {
       z.min = r.read<double>();

@@ -321,29 +321,18 @@ ParticleBuffer materialize(std::span<const std::byte> bytes,
   return buf;
 }
 
-/// Per-filter state with the component's byte offset and element type
-/// hoisted out of the record loop.
-struct HoistedRange {
-  std::size_t offset = 0;
-  bool is_f64 = true;
-  double lo = 0;
-  double hi = 0;
-};
-
-std::vector<HoistedRange> hoist_filters(const Schema& schema,
-                                        std::span<const RangeFilter> filters) {
-  std::vector<HoistedRange> hoisted;
+/// Each filter's component byte offset and element type, hoisted out of
+/// the record loop.
+std::vector<simd::RangePred> hoist_filters(
+    const Schema& schema, std::span<const RangeFilter> filters) {
+  std::vector<simd::RangePred> hoisted;
   hoisted.reserve(filters.size());
   for (const RangeFilter& rf : filters) {
     const FieldDesc& fd = schema.fields()[rf.field];
-    HoistedRange h;
-    h.is_f64 = fd.type == FieldType::kF64;
-    h.offset = schema.offset(rf.field) +
-               static_cast<std::size_t>(rf.component) *
-                   field_type_size(fd.type);
-    h.lo = rf.lo;
-    h.hi = rf.hi;
-    hoisted.push_back(h);
+    hoisted.push_back({schema.offset(rf.field) +
+                           static_cast<std::size_t>(rf.component) *
+                               field_type_size(fd.type),
+                       fd.type == FieldType::kF64, rf.lo, rf.hi});
   }
   return hoisted;
 }
@@ -357,34 +346,93 @@ inline bool position_in_box(const std::byte* rec, std::size_t pos_off,
          p[1] < box.hi.y && p[2] >= box.lo.z && p[2] < box.hi.z;
 }
 
-}  // namespace
-
-std::uint64_t filter_box(std::span<const std::byte> bytes,
-                         const Schema& schema, const Box3& box,
-                         ParticleBuffer& out) {
+/// The fused scalar scan behind every scalar filter and select: one pass
+/// over the records of `bytes`, calling `on_run(start, len)` for each
+/// maximal run of records that pass `keep`, the moment the run closes —
+/// while its bytes are still cache-hot from the test that closed it.
+/// Returns the records kept.
+template <class Keep, class OnRun>
+std::uint64_t scan_runs(std::span<const std::byte> bytes, const Schema& schema,
+                        Keep&& keep, OnRun&& on_run) {
   const std::size_t rec = schema.record_size();
   SPIO_EXPECTS(rec > 0 && bytes.size() % rec == 0);
   const std::size_t n = bytes.size() / rec;
-  const std::size_t pos_off = schema.offset(0);
   const std::byte* base = bytes.data();
   std::uint64_t kept = 0;
   std::size_t run_start = kNoRun;
-  // Single pass: a run is copied the moment it closes, so its source
-  // bytes are still in L1/L2 from the position test that closed it.
   for (std::size_t i = 0; i < n; ++i) {
-    if (position_in_box(base + i * rec, pos_off, box)) {
+    if (keep(base + i * rec)) {
       if (run_start == kNoRun) run_start = i;
     } else if (run_start != kNoRun) {
-      out.append_records(base + run_start * rec, i - run_start);
+      on_run(run_start, i - run_start);
       kept += i - run_start;
       run_start = kNoRun;
     }
   }
   if (run_start != kNoRun) {
-    out.append_records(base + run_start * rec, n - run_start);
+    on_run(run_start, n - run_start);
     kept += n - run_start;
   }
   return kept;
+}
+
+/// `scan_runs` with the box predicate (`filters` empty) or the box and
+/// range predicates.
+template <class OnRun>
+std::uint64_t scan_box(std::span<const std::byte> bytes, const Schema& schema,
+                       const Box3& box, std::span<const RangeFilter> filters,
+                       OnRun&& on_run) {
+  const std::size_t pos_off = schema.offset(0);
+  if (filters.empty())
+    return scan_runs(
+        bytes, schema,
+        [&](const std::byte* r) { return position_in_box(r, pos_off, box); },
+        on_run);
+  const std::vector<simd::RangePred> preds = hoist_filters(schema, filters);
+  return scan_runs(
+      bytes, schema,
+      [&](const std::byte* r) {
+        return position_in_box(r, pos_off, box) &&
+               simd::record_passes_ranges(r, preds);
+      },
+      on_run);
+}
+
+/// `scan_box` into `out`: each run appended as it closes.
+std::uint64_t filter_scalar(std::span<const std::byte> bytes,
+                            const Schema& schema, const Box3& box,
+                            std::span<const RangeFilter> filters,
+                            ParticleBuffer& out) {
+  const std::byte* base = bytes.data();
+  const std::size_t rec = schema.record_size();
+  return scan_box(bytes, schema, box, filters,
+                  [&](std::size_t start, std::size_t len) {
+                    out.append_records(base + start * rec, len);
+                  });
+}
+
+/// `scan_box` into `sel`: each run recorded as it closes.
+void select_scalar(std::span<const std::byte> bytes, const Schema& schema,
+                   const Box3& box, std::span<const RangeFilter> filters,
+                   Selection& sel) {
+  sel.runs.clear();
+  sel.count = scan_box(bytes, schema, box, filters,
+                       [&](std::size_t start, std::size_t len) {
+                         sel.runs.push_back({start, len});
+                       });
+}
+
+}  // namespace
+
+std::uint64_t filter_box(std::span<const std::byte> bytes,
+                         const Schema& schema, const Box3& box,
+                         ParticleBuffer& out) {
+  return filter_scalar(bytes, schema, box, {}, out);
+}
+
+void select_box(std::span<const std::byte> bytes, const Schema& schema,
+                const Box3& box, Selection& sel) {
+  select_scalar(bytes, schema, box, {}, sel);
 }
 
 std::uint64_t filter_box_reference(std::span<const std::byte> bytes,
@@ -405,43 +453,13 @@ std::uint64_t filter_box_ranges(std::span<const std::byte> bytes,
                                 const Schema& schema, const Box3& box,
                                 std::span<const RangeFilter> filters,
                                 ParticleBuffer& out) {
-  const std::size_t rec = schema.record_size();
-  SPIO_EXPECTS(rec > 0 && bytes.size() % rec == 0);
-  const std::size_t n = bytes.size() / rec;
-  const std::size_t pos_off = schema.offset(0);
-  const std::vector<HoistedRange> hoisted = hoist_filters(schema, filters);
-  const std::byte* base = bytes.data();
-  std::uint64_t kept = 0;
-  std::size_t run_start = kNoRun;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::byte* r = base + i * rec;
-    bool keep = position_in_box(r, pos_off, box);
-    for (std::size_t k = 0; keep && k < hoisted.size(); ++k) {
-      const HoistedRange& h = hoisted[k];
-      double v;
-      if (h.is_f64) {
-        std::memcpy(&v, r + h.offset, sizeof(double));
-      } else {
-        float f;
-        std::memcpy(&f, r + h.offset, sizeof(float));
-        v = static_cast<double>(f);
-      }
-      // NaN passes, exactly as in the reference predicate.
-      if (v < h.lo || v > h.hi) keep = false;
-    }
-    if (keep) {
-      if (run_start == kNoRun) run_start = i;
-    } else if (run_start != kNoRun) {
-      out.append_records(base + run_start * rec, i - run_start);
-      kept += i - run_start;
-      run_start = kNoRun;
-    }
-  }
-  if (run_start != kNoRun) {
-    out.append_records(base + run_start * rec, n - run_start);
-    kept += n - run_start;
-  }
-  return kept;
+  return filter_scalar(bytes, schema, box, filters, out);
+}
+
+void select_box_ranges(std::span<const std::byte> bytes, const Schema& schema,
+                       const Box3& box, std::span<const RangeFilter> filters,
+                       Selection& sel) {
+  select_scalar(bytes, schema, box, filters, sel);
 }
 
 std::uint64_t filter_box_ranges_reference(std::span<const std::byte> bytes,
@@ -550,24 +568,40 @@ const char* dispatch_span_name(bool simd) {
                                                     : "kernel.sse2";
 }
 
+/// Run `simd_try` — a SIMD kernel's try entry point, given the mirror —
+/// when `mirror` is set and a SIMD level is active, and `scalar` when it
+/// is not or the kernel declines, each under its `kernel.*` span with one
+/// `kernel.simd_{hits,fallbacks}` tick.
+template <class SimdTry, class Scalar>
+void dispatch(const PositionMirror* mirror, SimdTry&& simd_try,
+              Scalar&& scalar) {
+  if (mirror && simd::active_level() != simd::Level::kScalar) {
+    obs::ScopedSpan span(dispatch_span_name(true), "kernel");
+    if (simd_try(*mirror)) {
+      count_dispatch(true);
+      return;
+    }
+  }
+  obs::ScopedSpan span(dispatch_span_name(false), "kernel");
+  count_dispatch(false);
+  scalar();
+}
+
 }  // namespace
 
 std::uint64_t filter_box_dispatch(std::span<const std::byte> bytes,
                                   const Schema& schema, const Box3& box,
                                   const PositionMirror* mirror,
                                   ParticleBuffer& out) {
-  if (mirror && simd::active_level() != simd::Level::kScalar) {
-    std::uint64_t kept = 0;
-    obs::ScopedSpan span(dispatch_span_name(true), "kernel");
-    if (simd::filter_box(*mirror, bytes, schema.record_size(), box, out,
-                         &kept)) {
-      count_dispatch(true);
-      return kept;
-    }
-  }
-  obs::ScopedSpan span(dispatch_span_name(false), "kernel");
-  count_dispatch(false);
-  return filter_box(bytes, schema, box, out);
+  std::uint64_t kept = 0;
+  dispatch(
+      mirror,
+      [&](const PositionMirror& m) {
+        return simd::filter_box(m, bytes, schema.record_size(), box, out,
+                                &kept);
+      },
+      [&] { kept = filter_box(bytes, schema, box, out); });
+  return kept;
 }
 
 std::uint64_t filter_box_ranges_dispatch(std::span<const std::byte> bytes,
@@ -575,25 +609,31 @@ std::uint64_t filter_box_ranges_dispatch(std::span<const std::byte> bytes,
                                          std::span<const RangeFilter> filters,
                                          const PositionMirror* mirror,
                                          ParticleBuffer& out) {
-  if (mirror && simd::active_level() != simd::Level::kScalar) {
-    // Hoist offsets/types exactly as the fused kernel does; the SIMD
-    // kernel evaluates these per surviving lane from the AoS record.
-    const std::vector<HoistedRange> hoisted = hoist_filters(schema, filters);
-    std::vector<simd::RangePred> preds;
-    preds.reserve(hoisted.size());
-    for (const HoistedRange& h : hoisted)
-      preds.push_back({h.offset, h.is_f64, h.lo, h.hi});
-    std::uint64_t kept = 0;
-    obs::ScopedSpan span(dispatch_span_name(true), "kernel");
-    if (simd::filter_box_ranges(*mirror, bytes, schema.record_size(), box,
-                                preds, out, &kept)) {
-      count_dispatch(true);
-      return kept;
-    }
-  }
-  obs::ScopedSpan span(dispatch_span_name(false), "kernel");
-  count_dispatch(false);
-  return filter_box_ranges(bytes, schema, box, filters, out);
+  std::uint64_t kept = 0;
+  dispatch(
+      mirror,
+      [&](const PositionMirror& m) {
+        return simd::filter_box_ranges(m, bytes, schema.record_size(), box,
+                                       hoist_filters(schema, filters), out,
+                                       &kept);
+      },
+      [&] { kept = filter_box_ranges(bytes, schema, box, filters, out); });
+  return kept;
+}
+
+void select_dispatch(std::span<const std::byte> bytes, const Schema& schema,
+                     const Box3& box, std::span<const RangeFilter> filters,
+                     const PositionMirror* mirror, Selection& sel) {
+  dispatch(
+      mirror,
+      [&](const PositionMirror& m) {
+        return filters.empty()
+                   ? simd::select_box(m, bytes, schema.record_size(), box, sel)
+                   : simd::select_box_ranges(m, bytes, schema.record_size(),
+                                             box, hoist_filters(schema, filters),
+                                             sel);
+      },
+      [&] { select_scalar(bytes, schema, box, filters, sel); });
 }
 
 void bin_by_owner_dispatch(std::span<const std::byte> bytes,
@@ -601,17 +641,13 @@ void bin_by_owner_dispatch(std::span<const std::byte> bytes,
                            const PatchDecomposition& decomp,
                            const PositionMirror* mirror,
                            std::vector<ParticleBuffer>& outgoing) {
-  if (mirror && simd::active_level() != simd::Level::kScalar) {
-    obs::ScopedSpan span(dispatch_span_name(true), "kernel");
-    if (simd::bin_by_owner(*mirror, bytes, schema.record_size(), decomp,
-                           outgoing)) {
-      count_dispatch(true);
-      return;
-    }
-  }
-  obs::ScopedSpan span(dispatch_span_name(false), "kernel");
-  count_dispatch(false);
-  bin_by_owner(bytes, schema, decomp, outgoing);
+  dispatch(
+      mirror,
+      [&](const PositionMirror& m) {
+        return simd::bin_by_owner(m, bytes, schema.record_size(), decomp,
+                                  outgoing);
+      },
+      [&] { bin_by_owner(bytes, schema, decomp, outgoing); });
 }
 
 }  // namespace read_detail

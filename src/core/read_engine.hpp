@@ -6,10 +6,11 @@
 ///
 ///   1. **Worker pool** — a process-wide bounded `ThreadPool`
 ///      (`SPIO_READ_THREADS=n`, default = hardware concurrency clamped
-///      to 16) so a query's N intersecting files are read and filtered
-///      concurrently. Results are always merged in file-index order, so
-///      output stays byte-identical to the serial path; a pool forced to
-///      1 reproduces serial execution exactly.
+///      to 16). The workers fetch and scan a query's N intersecting
+///      files concurrently, then copy the result out in parallel: each
+///      file's matching runs land at their plan-order offset in one
+///      exact-size buffer, so output stays byte-identical to the serial
+///      path; a pool forced to 1 reproduces serial execution exactly.
 ///   2. **File-buffer cache** — an LRU cache of file *prefixes* keyed by
 ///      `(path, prefix_bytes)` with a byte budget
 ///      (`SPIO_READ_CACHE=bytes`, suffixes k/m/g accepted; default
@@ -59,6 +60,7 @@
 #include <vector>
 
 #include "core/prefix_cache.hpp"
+#include "simd/kernels.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/decomposition.hpp"
 #include "workload/particle_buffer.hpp"
@@ -256,6 +258,11 @@ class ScopedDeadline {
 
 // -- fused filter kernels -------------------------------------------------
 
+/// One buffer's matching records as maximal runs plus their count
+/// (simd/kernels.hpp): what the select kernels build — on any thread —
+/// and `simd::copy_runs` copies to a result's final offset.
+using simd::Selection;
+
 /// Fused spatial filter: append every record of `bytes` whose position
 /// lies in `box` (half-open, `Box3::contains`) to `out`, copying each
 /// contiguous matching run with a single `memcpy` the moment the run
@@ -266,6 +273,12 @@ class ScopedDeadline {
 std::uint64_t filter_box(std::span<const std::byte> bytes,
                          const Schema& schema, const Box3& box,
                          ParticleBuffer& out);
+
+/// The scan half of `filter_box`: overwrite `sel` with the runs
+/// `filter_box` would copy — the same predicate and pass, each run
+/// recorded instead of appended.
+void select_box(std::span<const std::byte> bytes, const Schema& schema,
+                const Box3& box, Selection& sel);
 
 /// The retained pre-engine loop (`box.contains(position(i))` +
 /// `append_from`), the differential-testing oracle for `filter_box`.
@@ -282,6 +295,11 @@ std::uint64_t filter_box_ranges(std::span<const std::byte> bytes,
                                 const Schema& schema, const Box3& box,
                                 std::span<const RangeFilter> filters,
                                 ParticleBuffer& out);
+
+/// The scan half of `filter_box_ranges` (see `select_box`).
+void select_box_ranges(std::span<const std::byte> bytes, const Schema& schema,
+                       const Box3& box, std::span<const RangeFilter> filters,
+                       Selection& sel);
 
 /// The retained pre-engine loop, oracle for `filter_box_ranges`.
 std::uint64_t filter_box_ranges_reference(std::span<const std::byte> bytes,
@@ -312,7 +330,8 @@ void bin_by_owner_reference(std::span<const std::byte> bytes,
 // the mirror — output byte-identical to the fused/reference kernels —
 // and `kernel.simd_hits` counts one; otherwise the fused scalar kernel
 // runs and `kernel.simd_fallbacks` counts one. Each dispatch opens a
-// `kernel` trace span tagged scalar/sse2/avx2.
+// `kernel` trace span tagged scalar/sse2/avx2. `Dataset` queries use
+// `select_dispatch` on the pool workers and copy the runs out afterwards.
 
 std::uint64_t filter_box_dispatch(std::span<const std::byte> bytes,
                                   const Schema& schema, const Box3& box,
@@ -324,6 +343,13 @@ std::uint64_t filter_box_ranges_dispatch(std::span<const std::byte> bytes,
                                          std::span<const RangeFilter> filters,
                                          const PositionMirror* mirror,
                                          ParticleBuffer& out);
+
+/// The select half of the two filter dispatches: `sel` gets the runs of
+/// `bytes` inside `box` that pass every filter (box only when `filters`
+/// is empty).
+void select_dispatch(std::span<const std::byte> bytes, const Schema& schema,
+                     const Box3& box, std::span<const RangeFilter> filters,
+                     const PositionMirror* mirror, Selection& sel);
 
 void bin_by_owner_dispatch(std::span<const std::byte> bytes,
                            const Schema& schema,

@@ -1,5 +1,7 @@
 #include "simd/kernels.hpp"
 
+#include <cstring>
+
 #include "simd/kernels_isa.hpp"
 #include "simd/simd_level.hpp"
 
@@ -17,21 +19,65 @@ bool mirror_matches(const PositionMirror& mirror,
          mirror.size() == bytes.size() / record_size;
 }
 
+/// The append half of `filter_box`/`filter_box_ranges`: one exact
+/// reserve (the regrowth copies of a large output cost more than the run
+/// bookkeeping), then one append per run.
+void append_selection(const std::byte* base, std::size_t record_size,
+                      const Selection& sel, ParticleBuffer& out,
+                      std::uint64_t* kept) {
+  out.reserve(out.size() + static_cast<std::size_t>(sel.count));
+  for (const Run& r : sel.runs)
+    out.append_records(base + r.start * record_size, r.len);
+  if (kept) *kept = sel.count;
+}
+
 }  // namespace
+
+void copy_runs(const std::byte* base, std::size_t record_size,
+               std::span<const Run> runs, std::byte* dst) {
+  for (const Run& r : runs) {
+    const std::size_t bytes = r.len * record_size;
+    std::memcpy(dst, base + r.start * record_size, bytes);
+    dst += bytes;
+  }
+}
+
+bool select_box(const PositionMirror& mirror, std::span<const std::byte> bytes,
+                std::size_t record_size, const Box3& box, Selection& sel) {
+  const Level level = active_level();
+  if (level == Level::kScalar || !mirror_matches(mirror, bytes, record_size))
+    return false;
+  if (level == Level::kAVX2) {
+    detail::select_box_avx2(mirror, box, sel);
+  } else {
+    detail::select_box_sse2(mirror, box, sel);
+  }
+  return true;
+}
+
+bool select_box_ranges(const PositionMirror& mirror,
+                       std::span<const std::byte> bytes,
+                       std::size_t record_size, const Box3& box,
+                       std::span<const RangePred> preds, Selection& sel) {
+  const Level level = active_level();
+  if (level == Level::kScalar || !mirror_matches(mirror, bytes, record_size))
+    return false;
+  if (level == Level::kAVX2) {
+    detail::select_box_ranges_avx2(mirror, bytes.data(), record_size, box,
+                                   preds, sel);
+  } else {
+    detail::select_box_ranges_sse2(mirror, bytes.data(), record_size, box,
+                                   preds, sel);
+  }
+  return true;
+}
 
 bool filter_box(const PositionMirror& mirror, std::span<const std::byte> bytes,
                 std::size_t record_size, const Box3& box, ParticleBuffer& out,
                 std::uint64_t* kept) {
-  const Level level = active_level();
-  if (level == Level::kScalar || !mirror_matches(mirror, bytes, record_size))
-    return false;
-  const std::uint64_t k =
-      level == Level::kAVX2
-          ? detail::filter_box_avx2(mirror, bytes.data(), record_size, box,
-                                    out)
-          : detail::filter_box_sse2(mirror, bytes.data(), record_size, box,
-                                    out);
-  if (kept) *kept = k;
+  Selection sel;
+  if (!select_box(mirror, bytes, record_size, box, sel)) return false;
+  append_selection(bytes.data(), record_size, sel, out, kept);
   return true;
 }
 
@@ -40,18 +86,10 @@ bool filter_box_ranges(const PositionMirror& mirror,
                        std::size_t record_size, const Box3& box,
                        std::span<const RangePred> preds, ParticleBuffer& out,
                        std::uint64_t* kept) {
-  const Level level = active_level();
-  if (level == Level::kScalar || !mirror_matches(mirror, bytes, record_size))
+  Selection sel;
+  if (!select_box_ranges(mirror, bytes, record_size, box, preds, sel))
     return false;
-  const std::uint64_t k =
-      level == Level::kAVX2
-          ? detail::filter_box_ranges_avx2(mirror, bytes.data(), record_size,
-                                           box, preds.data(), preds.size(),
-                                           out)
-          : detail::filter_box_ranges_sse2(mirror, bytes.data(), record_size,
-                                           box, preds.data(), preds.size(),
-                                           out);
-  if (kept) *kept = k;
+  append_selection(bytes.data(), record_size, sel, out, kept);
   return true;
 }
 

@@ -46,19 +46,16 @@ struct TraitsAVX2 {
 
 }  // namespace
 
-std::uint64_t filter_box_avx2(const PositionMirror& mirror,
-                              const std::byte* base, std::size_t record_size,
-                              const Box3& box, ParticleBuffer& out) {
-  return filter_box_body<TraitsAVX2>(mirror, base, record_size, box, out);
+void select_box_avx2(const PositionMirror& mirror, const Box3& box,
+                     Selection& sel) {
+  select_box_body<TraitsAVX2>(mirror, box, sel);
 }
 
-std::uint64_t filter_box_ranges_avx2(const PositionMirror& mirror,
-                                     const std::byte* base,
-                                     std::size_t record_size, const Box3& box,
-                                     const RangePred* preds, std::size_t npreds,
-                                     ParticleBuffer& out) {
-  return filter_box_ranges_body<TraitsAVX2>(mirror, base, record_size, box,
-                                            preds, npreds, out);
+void select_box_ranges_avx2(const PositionMirror& mirror,
+                            const std::byte* base, std::size_t record_size,
+                            const Box3& box, std::span<const RangePred> preds,
+                            Selection& sel) {
+  select_box_ranges_body<TraitsAVX2>(mirror, base, record_size, box, preds, sel);
 }
 
 void bin_by_owner_avx2(const PositionMirror& mirror, const std::byte* base,
@@ -131,15 +128,13 @@ bool avx2_compiled() { return false; }
 
 namespace detail {
 
-std::uint64_t filter_box_avx2(const PositionMirror&, const std::byte*,
-                              std::size_t, const Box3&, ParticleBuffer&) {
+void select_box_avx2(const PositionMirror&, const Box3&, Selection&) {
   std::abort();
 }
 
-std::uint64_t filter_box_ranges_avx2(const PositionMirror&, const std::byte*,
-                                     std::size_t, const Box3&,
-                                     const RangePred*, std::size_t,
-                                     ParticleBuffer&) {
+void select_box_ranges_avx2(const PositionMirror&, const std::byte*,
+                            std::size_t, const Box3&,
+                            std::span<const RangePred>, Selection&) {
   std::abort();
 }
 

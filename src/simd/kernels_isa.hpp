@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "simd/kernels.hpp"
@@ -26,23 +27,19 @@ bool avx2_compiled();
 
 namespace detail {
 
-std::uint64_t filter_box_sse2(const PositionMirror& mirror,
-                              const std::byte* base, std::size_t record_size,
-                              const Box3& box, ParticleBuffer& out);
-std::uint64_t filter_box_avx2(const PositionMirror& mirror,
-                              const std::byte* base, std::size_t record_size,
-                              const Box3& box, ParticleBuffer& out);
+void select_box_sse2(const PositionMirror& mirror, const Box3& box,
+                     Selection& sel);
+void select_box_avx2(const PositionMirror& mirror, const Box3& box,
+                     Selection& sel);
 
-std::uint64_t filter_box_ranges_sse2(const PositionMirror& mirror,
-                                     const std::byte* base,
-                                     std::size_t record_size, const Box3& box,
-                                     const RangePred* preds, std::size_t npreds,
-                                     ParticleBuffer& out);
-std::uint64_t filter_box_ranges_avx2(const PositionMirror& mirror,
-                                     const std::byte* base,
-                                     std::size_t record_size, const Box3& box,
-                                     const RangePred* preds, std::size_t npreds,
-                                     ParticleBuffer& out);
+void select_box_ranges_sse2(const PositionMirror& mirror,
+                            const std::byte* base, std::size_t record_size,
+                            const Box3& box, std::span<const RangePred> preds,
+                            Selection& sel);
+void select_box_ranges_avx2(const PositionMirror& mirror,
+                            const std::byte* base, std::size_t record_size,
+                            const Box3& box, std::span<const RangePred> preds,
+                            Selection& sel);
 
 void bin_by_owner_sse2(const PositionMirror& mirror, const std::byte* base,
                        std::size_t record_size,

@@ -30,13 +30,14 @@
 /// `>=`/`<`), and the arithmetic sequences are the scalar ones
 /// operation for operation (sub, divide — never a reciprocal multiply —
 /// mul, floor, clamp), so IEEE determinism makes each lane bit-equal to
-/// the scalar loop. Matching records are then copied from the very same
-/// AoS bytes with the same run-closure `append_records` calls.
+/// the scalar loop. The select bodies fold the masks into the same
+/// maximal runs the scalar kernels close, so `copy_runs` then copies the
+/// very same records from the very same AoS bytes.
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <span>
 #include <vector>
 
 #include "simd/kernels.hpp"
@@ -48,72 +49,38 @@
 namespace spio::simd::detail {
 
 /// Folds a stream of per-record keep/drop decisions (indices strictly
-/// increasing) into runs *without touching the AoS bytes*, then copies
-/// them in one `flush`. The fused scalar kernels must copy each run the
-/// moment it closes (their scan is the expensive part); here the scan
-/// over the mirror is cheap, so deferring the copies buys an exact
-/// `reserve` — the regrowth copies of a large output cost more than the
-/// run bookkeeping. Runs flush in record order, so the output bytes are
-/// unchanged.
+/// increasing) into the maximal runs of a `Selection`, *without touching
+/// the AoS bytes*: the scan over the mirror is cheap, and the copy runs
+/// later — possibly on another thread — from the finished selection.
 class RunCollector {
  public:
+  explicit RunCollector(Selection& sel) : sel_(sel) {
+    sel_.runs.clear();
+    sel_.count = 0;
+  }
   void keep(std::size_t i) {
     if (run_ == kNone) run_ = i;
   }
   void drop(std::size_t i) {
     if (run_ != kNone) close(i);
   }
-  std::uint64_t finish(std::size_t n) {
+  void finish(std::size_t n) {
     if (run_ != kNone) close(n);
-    return kept_;
-  }
-
-  /// One exact reserve, then one memcpy per run.
-  void flush(const std::byte* base, std::size_t record_size,
-             ParticleBuffer& out) const {
-    out.reserve(out.size() + static_cast<std::size_t>(kept_));
-    for (const Run& r : runs_)
-      out.append_records(base + r.start * record_size, r.len);
   }
 
  private:
-  struct Run {
-    std::size_t start;
-    std::size_t len;
-  };
-
   void close(std::size_t end) {
-    runs_.push_back({run_, end - run_});
-    kept_ += end - run_;
+    sel_.runs.push_back({run_, end - run_});
+    sel_.count += end - run_;
     run_ = kNone;
   }
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<Run> runs_;
+  Selection& sel_;
   std::size_t run_ = kNone;
-  std::uint64_t kept_ = 0;
 };
 
-/// Scalar range check against the AoS record — exactly the fused
-/// kernel's hoisted-filter loop (NaN passes: `!(v < lo || v > hi)`).
-inline bool record_passes_ranges(const std::byte* r, const RangePred* preds,
-                                 std::size_t npreds) {
-  for (std::size_t k = 0; k < npreds; ++k) {
-    const RangePred& h = preds[k];
-    double v;
-    if (h.is_f64) {
-      std::memcpy(&v, r + h.offset, sizeof(double));
-    } else {
-      float f;
-      std::memcpy(&f, r + h.offset, sizeof(float));
-      v = static_cast<double>(f);
-    }
-    if (v < h.lo || v > h.hi) return false;
-  }
-  return true;
-}
-
-/// Box-mask state shared by the two filter kernels: six broadcast
+/// Box-mask state shared by the two select kernels: six broadcast
 /// planes, one fused in-box mask per vector of mirrored positions.
 template <class T>
 struct BoxMask {
@@ -138,9 +105,8 @@ struct BoxMask {
 };
 
 template <class T>
-std::uint64_t filter_box_body(const PositionMirror& mirror,
-                              const std::byte* base, std::size_t record_size,
-                              const Box3& box, ParticleBuffer& out) {
+void select_box_body(const PositionMirror& mirror, const Box3& box,
+                     Selection& sel) {
   constexpr std::size_t W = T::kLanes;
   constexpr unsigned kFull = (1u << W) - 1;
   const std::size_t n = mirror.size();
@@ -148,7 +114,7 @@ std::uint64_t filter_box_body(const PositionMirror& mirror,
   const double* ys = mirror.y();
   const double* zs = mirror.z();
   const BoxMask<T> mask(box);
-  RunCollector runs;
+  RunCollector runs(sel);
 
   // The mirror's tail is NaN-padded to a lane multiple and NaN fails
   // every ordered compare, so the vector loop covers the ragged tail:
@@ -170,24 +136,21 @@ std::uint64_t filter_box_body(const PositionMirror& mirror,
       }
     }
   }
-  const std::uint64_t kept = runs.finish(n);
-  runs.flush(base, record_size, out);
-  return kept;
+  runs.finish(n);
 }
 
 template <class T>
-std::uint64_t filter_box_ranges_body(const PositionMirror& mirror,
-                                     const std::byte* base,
-                                     std::size_t record_size, const Box3& box,
-                                     const RangePred* preds,
-                                     std::size_t npreds, ParticleBuffer& out) {
+void select_box_ranges_body(const PositionMirror& mirror,
+                            const std::byte* base, std::size_t record_size,
+                            const Box3& box, std::span<const RangePred> preds,
+                            Selection& sel) {
   constexpr std::size_t W = T::kLanes;
   const std::size_t n = mirror.size();
   const double* xs = mirror.x();
   const double* ys = mirror.y();
   const double* zs = mirror.z();
   const BoxMask<T> mask(box);
-  RunCollector runs;
+  RunCollector runs(sel);
 
   // Box predicate at full vector width over the mirror; only the lanes
   // it passes pay the scalar range loads from the AoS record. Padding
@@ -202,16 +165,14 @@ std::uint64_t filter_box_ranges_body(const PositionMirror& mirror,
     for (std::size_t b = 0; b < W; ++b) {
       const std::size_t idx = i + b;
       if ((bits & (1u << b)) &&
-          record_passes_ranges(base + idx * record_size, preds, npreds)) {
+          record_passes_ranges(base + idx * record_size, preds)) {
         runs.keep(idx);
       } else {
         runs.drop(idx);
       }
     }
   }
-  const std::uint64_t kept = runs.finish(n);
-  runs.flush(base, record_size, out);
-  return kept;
+  runs.finish(n);
 }
 
 template <class T>

@@ -5,9 +5,10 @@ namespace spio {
 ParticleBuffer::ParticleBuffer(Schema schema)
     : schema_(std::move(schema)), record_size_(schema_.record_size()) {}
 
-std::span<std::byte> ParticleBuffer::append_uninitialized() {
-  data_.resize(data_.size() + record_size_, std::byte{0});
-  return {data_.data() + data_.size() - record_size_, record_size_};
+std::span<std::byte> ParticleBuffer::append_uninitialized(std::size_t count) {
+  const std::size_t bytes = count * record_size_;
+  data_.resize(data_.size() + bytes, std::byte{0});
+  return {data_.data() + data_.size() - bytes, bytes};
 }
 
 void ParticleBuffer::append_record(std::span<const std::byte> record) {

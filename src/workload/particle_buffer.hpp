@@ -30,13 +30,13 @@ class ParticleBuffer {
   void reserve(std::size_t particles) {
     data_.reserve(particles * record_size_);
   }
-  /// Return over-reserved capacity to the allocator (used after a
-  /// selective query reserved for the worst case).
+  /// Return over-reserved capacity to the allocator.
   void shrink_to_fit() { data_.shrink_to_fit(); }
   void clear() { data_.clear(); }
 
-  /// Append a zero-initialized record and return a writable view of it.
-  std::span<std::byte> append_uninitialized();
+  /// Append `count` zero-initialized records and return a writable view
+  /// of them.
+  std::span<std::byte> append_uninitialized(std::size_t count = 1);
 
   /// Append a full record copied from raw bytes (size must equal
   /// record_size()).

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "core/read_engine.hpp"
 #include "core/writer.hpp"
 #include "simmpi/runtime.hpp"
 #include "util/temp_dir.hpp"
@@ -95,6 +96,9 @@ TEST_F(Knn, DistancesAreAscending) {
 
 TEST_F(Knn, PrunesDistantFiles) {
   const Dataset ds = Dataset::open(dir_->path());
+  // Earlier tests in this process warmed the shared prefix cache; a
+  // cached file counts as a hit, not an open.
+  ReadEngine::instance().clear_cache();
   ReadStats rs;
   // A query deep inside one tile with small k touches few of 16 files.
   k_nearest(ds, {0.125, 0.125, 0.5}, 5, &rs);

@@ -2,10 +2,12 @@
 /// is checked against the bytes that follow before anything is sized from
 /// it, so a huge count is a FormatError, never a huge allocation
 /// (`std::bad_alloc`, `std::length_error`). The u32 count fields can only
-/// carry 2^32-1; the u64 checksum count also gets 2^40 and 2^64-1.
+/// carry 2^32-1; the u64 checksum count also gets 2^40 and 2^64-1. A
+/// zone count is also checked against the LOD law in bounded steps.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -37,13 +39,14 @@ TEST(SidecarCounts, ChecksumTableRejectsCountBeyondPayload) {
 
 /// A zones.spio body up to its file count, for a schema of
 /// `range_count` components.
-BinaryWriter zone_header(std::uint32_t range_count, std::uint32_t files) {
+BinaryWriter zone_header(std::uint32_t range_count, std::uint32_t files,
+                         LodParams lod = {32, 2.0}) {
   BinaryWriter w;
   w.write<std::uint32_t>(ZoneMapTable::kMagic);
   w.write<std::uint32_t>(ZoneMapTable::kVersion);
   w.write<std::uint32_t>(range_count);
-  w.write<std::uint64_t>(32);  // LOD P
-  w.write<double>(2.0);        // LOD S
+  w.write<std::uint64_t>(lod.P);
+  w.write<double>(lod.S);
   w.write<std::uint32_t>(files);
   return w;
 }
@@ -69,6 +72,60 @@ TEST(SidecarCounts, ZoneTableRejectsRangeCountBeyondPayload) {
   w.write<std::uint32_t>(zone_file_count(LodParams{32, 2.0}, 1));
   w.write<double>(0.0);
   w.write<double>(1.0);
+  EXPECT_THROW(ZoneMapTable::deserialize(sealed(std::move(w))), FormatError);
+}
+
+/// A sealed one-file, one-component zones.spio under LOD P = 1, S = 1
+/// (level l holds one record, so an n-record file has n zones) whose
+/// entry claims `zones` zones for `n` records and carries `ranges` zone
+/// ranges.
+std::vector<std::byte> unit_law_sidecar(std::uint64_t n, std::uint32_t zones,
+                                        std::uint32_t ranges) {
+  BinaryWriter w = zone_header(1, 1, LodParams{1, 1.0});
+  w.write<std::uint32_t>(0);  // aggregator rank
+  w.write<std::uint64_t>(n);
+  w.write<std::uint32_t>(zones);
+  for (std::uint32_t i = 0; i < ranges; ++i) {
+    w.write<double>(0.0);
+    w.write<double>(1.0);
+  }
+  return sealed(std::move(w));
+}
+
+TEST(SidecarCounts, ZoneTableChecksTheUnitLawInBoundedSteps) {
+  // Under S = 1 the zone-count law has as many levels as records; the
+  // parser must reject a wrong claim without walking them all.
+  for (const std::uint64_t n : {std::uint64_t{32000}, std::uint64_t{0xFFFFFFFF},
+                                std::uint64_t{1} << 63}) {
+    const auto t0 = std::chrono::steady_clock::now();
+    // One zone claimed, its range present: the law check trips.
+    EXPECT_THROW(ZoneMapTable::deserialize(unit_law_sidecar(n, 1, 1)),
+                 FormatError)
+        << n;
+    // 2^32-1 zones claimed, no ranges: the count check trips first.
+    EXPECT_THROW(
+        ZoneMapTable::deserialize(unit_law_sidecar(n, 0xFFFFFFFF, 0)),
+        FormatError)
+        << n;
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+        << n;
+  }
+  // The same law accepts an honest claim, and rejects one zone too many
+  // or too few.
+  EXPECT_EQ(ZoneMapTable::deserialize(unit_law_sidecar(3, 3, 3)).files.size(),
+            1u);
+  EXPECT_THROW(ZoneMapTable::deserialize(unit_law_sidecar(3, 2, 2)),
+               FormatError);
+  EXPECT_THROW(ZoneMapTable::deserialize(unit_law_sidecar(3, 4, 4)),
+               FormatError);
+}
+
+TEST(SidecarCounts, ZoneTableRejectsZeroRangeCount) {
+  // No components: every zone count would pass the bytes check.
+  BinaryWriter w = zone_header(0, 1);
+  w.write<std::uint32_t>(0);  // aggregator rank
+  w.write<std::uint64_t>(1);  // particle count
+  w.write<std::uint32_t>(zone_file_count(LodParams{32, 2.0}, 1));
   EXPECT_THROW(ZoneMapTable::deserialize(sealed(std::move(w))), FormatError);
 }
 

@@ -17,7 +17,9 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -212,6 +214,58 @@ TEST_F(AccessProfileTest, UsedBytesMatchReturnedBytes) {
   EXPECT_EQ(t.bytes_used, out.byte_size());
   EXPECT_EQ(t.bytes_scanned, ds.metadata().total_particles *
                                  ds.metadata().schema.record_size());
+}
+
+TEST_F(AccessProfileTest, StatsAndPerFileUsedBytesDoNotDependOnPoolSize) {
+  // Workers scan and copy, but stats are summed in plan order and the
+  // profiler is fed once per file on the caller: the pool size must not
+  // show in either.
+  const Dataset ds = Dataset::open(dir_->path());
+  auto& prof = obs::AccessProfiler::instance();
+  const Box3 box({0.1, 0.1, 0.1}, {0.9, 0.9, 0.9});
+  const std::vector<Dataset::RangeFilter> filters{
+      {ds.metadata().schema.index_of("density"), 0, 990.0, 1060.0}};
+  struct Seen {
+    ReadStats stats;
+    std::map<std::string, std::uint64_t> used;
+  };
+  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{64} << 20}) {
+    std::optional<Seen> serial;
+    for (const int threads : {1, 2, 4}) {
+      EngineConfig cfg(threads, budget);
+      reset_accounting();
+      Seen seen;
+      for (int pass = 0; pass < 2; ++pass) {  // cold, then warm
+        ds.query_box(box, -1, 1, &seen.stats);
+        ds.query(box, filters, -1, 1, &seen.stats);
+        ds.query_box(box, /*levels=*/2, 1, &seen.stats);
+        ds.query_box_scan_all(box, &seen.stats);
+        ds.stream_box(box, [](const ParticleBuffer&) { return true; }, -1, 1,
+                      &seen.stats);
+      }
+      for (const auto& f : prof.snapshot_files(/*touched_only=*/true))
+        seen.used[f.name] = f.bytes_used;
+      if (!serial) {
+        serial = seen;
+        continue;
+      }
+      const ReadStats& a = serial->stats;
+      const ReadStats& b = seen.stats;
+      const std::string where =
+          "threads=" + std::to_string(threads) + " budget=" +
+          std::to_string(budget);
+      EXPECT_EQ(a.files_opened, b.files_opened) << where;
+      EXPECT_EQ(a.bytes_read, b.bytes_read) << where;
+      EXPECT_EQ(a.particles_scanned, b.particles_scanned) << where;
+      EXPECT_EQ(a.particles_returned, b.particles_returned) << where;
+      EXPECT_EQ(a.cache_hits, b.cache_hits) << where;
+      EXPECT_EQ(a.cache_misses, b.cache_misses) << where;
+      EXPECT_EQ(a.files_skipped, b.files_skipped) << where;
+      EXPECT_EQ(a.lod_bytes_skipped, b.lod_bytes_skipped) << where;
+      EXPECT_EQ(serial->used, seen.used) << where;
+    }
+    EXPECT_GT(serial->stats.particles_returned, 0u);
+  }
 }
 
 TEST_F(AccessProfileTest, PerFileSlotInvariantsHold) {

@@ -7,7 +7,9 @@
 ///   2. the `read_detail::*_dispatch` wrappers match the oracles whether
 ///      they take the SIMD path or the scalar fallback (so the whole
 ///      suite is meaningful under `SPIO_SIMD=off`, where every SIMD try
-///      must return false),
+///      must return false), and the split kernels — a select, then
+///      `copy_runs` — reproduce the oracles too, with the SIMD and scalar
+///      selects building the very same runs,
 ///   3. `ReadEngine::fetch` builds the SoA position mirror on a leader
 ///      miss, serves the same mirror on warm hits, and skips it when
 ///      dispatch is scalar,
@@ -27,6 +29,7 @@
 #include <iterator>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "core/read_engine.hpp"
@@ -322,6 +325,174 @@ TEST(SimdDispatch, StaleMirrorIsRejectedNotTrusted) {
   EXPECT_FALSE(simd::filter_box(*stale, small.bytes(), schema.record_size(),
                                 Box3::unit(), out, nullptr));
   EXPECT_EQ(out.size(), 0u);
+}
+
+// ---- 2b. select + copy -------------------------------------------------
+
+/// `sel`'s runs of `buf`, copied by `copy_runs` into an exact-size buffer.
+ParticleBuffer copied(const ParticleBuffer& buf, const simd::Selection& sel) {
+  ParticleBuffer out(buf.schema());
+  simd::copy_runs(
+      buf.bytes().data(), buf.record_size(), sel.runs,
+      out.append_uninitialized(static_cast<std::size_t>(sel.count)).data());
+  return out;
+}
+
+bool same_runs(const simd::Selection& a, const simd::Selection& b) {
+  if (a.count != b.count || a.runs.size() != b.runs.size()) return false;
+  for (std::size_t r = 0; r < a.runs.size(); ++r)
+    if (a.runs[r].start != b.runs[r].start || a.runs[r].len != b.runs[r].len)
+      return false;
+  return true;
+}
+
+/// Non-empty maximal runs in record order inside [0, n), adding up to
+/// the selection's count.
+void expect_well_formed(const simd::Selection& sel, std::size_t n) {
+  std::uint64_t total = 0;
+  std::size_t end = 0;
+  for (std::size_t r = 0; r < sel.runs.size(); ++r) {
+    const simd::Run& run = sel.runs[r];
+    EXPECT_GT(run.len, 0u);
+    if (r > 0) {
+      EXPECT_GT(run.start, end) << "runs must be maximal, in order";
+    }
+    end = run.start + run.len;
+    total += run.len;
+  }
+  EXPECT_LE(end, n);
+  EXPECT_EQ(total, sel.count);
+}
+
+/// `n` records placed against the box [0.25, 0.75)^3 by `shape`:
+/// 0 = random membership with the first and last record inside, 1 = all
+/// inside, 2 = none inside, 3 = alternating in/out blocks of `block`
+/// records starting inside (runs that begin and end on and off the
+/// 2- and 4-lane boundaries). A third of the outside records carry a NaN
+/// coordinate. Field 1's first component is uniform in [0, 1] with NaN
+/// and the [0.2, 0.8] filter's edge values sprinkled in.
+ParticleBuffer patterned(const Schema& schema, std::size_t n, int shape,
+                         std::size_t block, Xoshiro256& rng) {
+  ParticleBuffer buf(schema);
+  buf.append_uninitialized(n);
+  const bool f64 = schema.fields()[1].type == FieldType::kF64;
+  const double attrs[] = {kQNaN, 0.2, 0.8};
+  for (std::size_t i = 0; i < n; ++i) {
+    bool in = false;
+    switch (shape) {
+      case 0: in = i == 0 || i + 1 == n || rng.uniform_index(3) != 0; break;
+      case 1: in = true; break;
+      case 2: in = false; break;
+      default: in = (i / block) % 2 == 0; break;
+    }
+    Vec3d p{rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7),
+            rng.uniform(0.3, 0.7)};
+    if (!in) {
+      p.x = rng.uniform(0.8, 1.0);
+      if (rng.uniform_index(3) == 0) p[rng.uniform_index(3)] = kQNaN;
+    }
+    buf.set_position(i, p);
+    const double v = rng.uniform_index(5) == 0 ? attrs[rng.uniform_index(3)]
+                                               : rng.uniform(0, 1);
+    if (f64)
+      buf.set_f64(i, 1, 0, v);
+    else
+      buf.set_f32(i, 1, 0, static_cast<float>(v));
+  }
+  return buf;
+}
+
+TEST(SimdSelect, SelectThenCopyMatchesReferenceOnEveryPathAndShape) {
+  Xoshiro256 rng(607);
+  const Box3 box({0.25, 0.25, 0.25}, {0.75, 0.75, 0.75});
+  const std::vector<RangeFilter> filters{{1, 0, 0.2, 0.8}};
+  for (const std::size_t n : {0, 1, 3, 4, 5, 7, 8, 9, 31, 64, 257, 1000}) {
+    for (int shape = 0; shape < 4; ++shape) {
+      const Schema schema = random_schema(rng);
+      const std::size_t block = 1 + rng.uniform_index(8);
+      const ParticleBuffer buf = patterned(schema, n, shape, block, rng);
+      const auto bytes = buf.bytes();
+      const auto mirror = mirror_of(buf);
+      std::vector<simd::RangePred> preds;
+      const FieldDesc& fd = schema.fields()[1];
+      preds.push_back({schema.offset(1), fd.type == FieldType::kF64, 0.2,
+                       0.8});
+
+      ParticleBuffer ref_box(schema), ref_rq(schema);
+      const auto nbox =
+          read_detail::filter_box_reference(bytes, schema, box, ref_box);
+      const auto nrq = read_detail::filter_box_ranges_reference(
+          bytes, schema, box, filters, ref_rq);
+      if (shape == 1) {
+        EXPECT_EQ(nbox, n);
+      } else if (shape == 2) {
+        EXPECT_EQ(nbox, 0u);
+      }
+
+      // The scalar selects: well-formed, and copy_runs reproduces the
+      // oracle. Their runs are the baseline for the SIMD ones.
+      simd::Selection scalar_box, scalar_rq;
+      read_detail::select_box(bytes, schema, box, scalar_box);
+      read_detail::select_box_ranges(bytes, schema, box, filters, scalar_rq);
+      const auto where = [&] {
+        return "n=" + std::to_string(n) + " shape=" + std::to_string(shape) +
+               " block=" + std::to_string(block);
+      };
+      expect_well_formed(scalar_box, n);
+      expect_well_formed(scalar_rq, n);
+      EXPECT_EQ(scalar_box.count, nbox) << where();
+      EXPECT_EQ(scalar_rq.count, nrq) << where();
+      EXPECT_TRUE(same_bytes(copied(buf, scalar_box).bytes(), ref_box.bytes()))
+          << where();
+      EXPECT_TRUE(same_bytes(copied(buf, scalar_rq).bytes(), ref_rq.bytes()))
+          << where();
+
+      // Every SIMD level builds exactly the scalar runs.
+      for (const simd::Level level : reachable_levels()) {
+        simd::ScopedLevelCap cap(level);
+        simd::Selection s;
+        ASSERT_TRUE(simd::select_box(*mirror, bytes, schema.record_size(),
+                                     box, s));
+        EXPECT_TRUE(same_runs(s, scalar_box))
+            << simd::level_name(level) << " " << where();
+        ASSERT_TRUE(simd::select_box_ranges(*mirror, bytes,
+                                            schema.record_size(), box, preds,
+                                            s));
+        EXPECT_TRUE(same_runs(s, scalar_rq))
+            << simd::level_name(level) << " " << where();
+      }
+
+      // The dispatch the read path calls, on the host's best path and
+      // capped to the scalar fallback; a reused selection is overwritten.
+      for (const bool capped : {false, true}) {
+        std::optional<simd::ScopedLevelCap> cap;
+        if (capped) cap.emplace(simd::Level::kScalar);
+        simd::Selection s;
+        read_detail::select_dispatch(bytes, schema, box, {}, mirror.get(), s);
+        EXPECT_TRUE(same_runs(s, scalar_box)) << capped << " " << where();
+        read_detail::select_dispatch(bytes, schema, box, filters,
+                                     mirror.get(), s);
+        EXPECT_TRUE(same_runs(s, scalar_rq)) << capped << " " << where();
+        EXPECT_TRUE(same_bytes(copied(buf, s).bytes(), ref_rq.bytes()))
+            << capped << " " << where();
+      }
+    }
+  }
+}
+
+TEST(SimdSelect, StaleMirrorIsRejectedAndSelectionUntouched) {
+  Xoshiro256 rng(608);
+  const Schema schema = random_schema(rng);
+  const auto big = workload::uniform(schema, Box3::unit(), 512, rng.next(), 0);
+  const auto small = workload::uniform(schema, Box3::unit(), 256, rng.next(), 0);
+  const auto stale = mirror_of(big);  // 512 records, bytes have 256
+  simd::Selection sel;
+  sel.runs.push_back({3, 2});
+  sel.count = 2;
+  EXPECT_FALSE(simd::select_box(*stale, small.bytes(), schema.record_size(),
+                                Box3::unit(), sel));
+  ASSERT_EQ(sel.runs.size(), 1u);
+  EXPECT_EQ(sel.count, 2u);
 }
 
 // ---- 3. level selection ------------------------------------------------
