@@ -63,7 +63,9 @@ ParticleBuffer FppDataset::read_rank_file(int rank, ReadStats* stats) const {
   SPIO_CHECK(file_size_bytes(path) == expect, FormatError,
              "FPP rank file " << rank << " truncated");
   ParticleBuffer buf(schema_);
-  buf.adopt_bytes(read_file(path));
+  read_file_range_into(path, 0,
+                       buf.append_for_overwrite(
+                           counts_[static_cast<std::size_t>(rank)]));
   if (stats) {
     stats->files_opened += 1;
     stats->bytes_read += expect;

@@ -99,7 +99,9 @@ ParticleBuffer RankOrderDataset::read_group_file(int group,
   SPIO_CHECK(file_size_bytes(path) == expect, FormatError,
              "group file " << group << " truncated");
   ParticleBuffer buf(schema_);
-  buf.adopt_bytes(read_file(path));
+  read_file_range_into(path, 0,
+                       buf.append_for_overwrite(
+                           counts_[static_cast<std::size_t>(group)]));
   if (stats) {
     stats->files_opened += 1;
     stats->bytes_read += expect;

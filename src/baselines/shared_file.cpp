@@ -83,7 +83,8 @@ std::uint64_t SharedDataset::total_particles() const {
 
 ParticleBuffer SharedDataset::read_all(ReadStats* stats) const {
   ParticleBuffer buf(schema_);
-  buf.adopt_bytes(read_file(dir_ / kDataName));
+  read_file_range_into(dir_ / kDataName, 0,
+                       buf.append_for_overwrite(total_particles()));
   if (stats) {
     stats->files_opened += 1;
     stats->bytes_read += buf.byte_size();
@@ -99,9 +100,9 @@ ParticleBuffer SharedDataset::read_rank_slice(int rank,
   for (int r = 0; r < rank; ++r) before += counts_[static_cast<std::size_t>(r)];
   const std::uint64_t rec = schema_.record_size();
   ParticleBuffer buf(schema_);
-  buf.adopt_bytes(read_file_range(
+  read_file_range_into(
       dir_ / kDataName, before * rec,
-      counts_[static_cast<std::size_t>(rank)] * rec));
+      buf.append_for_overwrite(counts_[static_cast<std::size_t>(rank)]));
   if (stats) {
     stats->files_opened += 1;
     stats->bytes_read += buf.byte_size();

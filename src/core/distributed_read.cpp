@@ -100,11 +100,9 @@ ParticleBuffer distributed_read(simmpi::Comm& comm,
   // Phase 2: personalized exchange of the binned bytes.
   obs::ScopedSpan exchange_span("read.distributed.exchange", "reader");
   const Clock::time_point t0 = Clock::now();
-  std::vector<std::vector<std::byte>> send_to(
-      static_cast<std::size_t>(comm.size()));
-  for (int r = 0; r < comm.size(); ++r)
-    send_to[static_cast<std::size_t>(r)] =
-        outgoing[static_cast<std::size_t>(r)].take_bytes();
+  std::vector<std::span<const std::byte>> send_to;
+  send_to.reserve(outgoing.size());
+  for (const ParticleBuffer& bin : outgoing) send_to.push_back(bin.bytes());
   const auto received = comm.alltoallv(send_to);
 
   ParticleBuffer mine(ds.metadata().schema);

@@ -126,13 +126,6 @@ class ReadEngine {
     std::span<const std::byte> bytes() const {
       return shared ? shared->span() : std::span<const std::byte>(owned);
     }
-    /// The payload, moved when uniquely owned (bypass) and copied when
-    /// shared with the cache — for `ParticleBuffer::adopt_bytes`.
-    std::vector<std::byte> take_or_copy() {
-      if (!shared) return std::move(owned);
-      const std::span<const std::byte> s = shared->span();
-      return std::vector<std::byte>(s.begin(), s.end());
-    }
   };
 
   /// Stat `path` (throws `IoError` when missing). Samples mtime only

@@ -259,7 +259,7 @@ ParticleBuffer Dataset::read_data_file(int file_index, int levels,
                                        ReadStats* stats) const {
   FilePrefix prefix = fetch_file(file_index, levels, n_readers, stats);
   ParticleBuffer buf(meta_.schema);
-  buf.adopt_bytes(prefix.fetched.take_or_copy());
+  buf.append_bytes(prefix.bytes());
   if (stats) stats->particles_returned += prefix.count;
   // A direct file read keeps every scanned record: used == scanned.
   obs::AccessProfiler::instance().record_used(
@@ -378,7 +378,7 @@ std::uint64_t Dataset::append_selected(std::span<SelectedFile> parts,
     offset[k + 1] =
         offset[k] + static_cast<std::size_t>(parts[k].selection.count) * rec;
   const std::size_t total = offset[n];
-  std::byte* dst = out.append_uninitialized(total / rec).data();
+  std::byte* dst = out.append_for_overwrite(total / rec).data();
 
   const bool timed = obs::AccessProfiler::instance().detailed();
   const auto copy_files = [&](std::size_t lo, std::size_t hi) {

@@ -228,6 +228,9 @@ class Dataset {
   int profile_base() const { return profile_base_; }
 
  private:
+  /// Lets tests run a query's stages into a buffer they prepared.
+  friend struct DatasetTestPeer;
+
   Dataset(std::filesystem::path dir, DatasetMetadata meta);
 
   /// Plan a query, record the planner span/metrics and the skip counters

@@ -295,31 +295,28 @@ BinnedParticles bin_particles(const ParticleBuffer& local,
 BinnedParticles bin_particles_reference(const ParticleBuffer& local,
                                         const AggregationPlan& plan,
                                         bool use_fast_path) {
-  std::map<int, ParticleBuffer> bins;
-  if (!local.empty()) {
-    if (use_fast_path) {
-      const int p = plan.partitioning().partition_of_point(local.position(0));
-      ParticleBuffer bin(local.schema());
-      bin.adopt_bytes(std::vector<std::byte>(local.bytes().begin(),
-                                             local.bytes().end()));
-      bins.emplace(p, std::move(bin));
-    } else {
-      for (std::size_t i = 0; i < local.size(); ++i) {
-        const int p =
-            plan.partitioning().partition_of_point(local.position(i));
-        auto it = bins.find(p);
-        if (it == bins.end())
-          it = bins.emplace(p, ParticleBuffer(local.schema())).first;
-        it->second.append_from(local, i);
-      }
-    }
-  }
   BinnedParticles out;
-  for (auto& [p, bin] : bins) {
+  const auto add_bin = [&out](int p, std::size_t count,
+                              std::span<const std::byte> bytes) {
     out.partitions.push_back(p);
-    out.counts.push_back(bin.size());
-    out.payloads.push_back(bin.take_bytes());
+    out.counts.push_back(count);
+    out.payloads.emplace_back(bytes.begin(), bytes.end());
+  };
+  if (local.empty()) return out;
+  if (use_fast_path) {
+    add_bin(plan.partitioning().partition_of_point(local.position(0)),
+            local.size(), local.bytes());
+    return out;
   }
+  std::map<int, ParticleBuffer> bins;
+  for (std::size_t i = 0; i < local.size(); ++i) {
+    const int p = plan.partitioning().partition_of_point(local.position(i));
+    auto it = bins.find(p);
+    if (it == bins.end())
+      it = bins.emplace(p, ParticleBuffer(local.schema())).first;
+    it->second.append_from(local, i);
+  }
+  for (const auto& [p, bin] : bins) add_bin(p, bin.size(), bin.bytes());
   return out;
 }
 

@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -347,20 +348,23 @@ class Comm {
   }
 
   /// Personalized all-to-all of variable-length typed buffers.
-  /// `send_to[d]` is this rank's data for rank d (size() entries); returns
-  /// `recv_from[s]`, the data rank s sent to this rank.
-  template <typename T>
-  std::vector<std::vector<T>> alltoallv(
-      const std::vector<std::vector<T>>& send_to) {
+  /// `send_to[d]` is this rank's data for rank d (size() entries), any
+  /// contiguous range — a vector, or a span over storage the caller keeps
+  /// (the payloads are only serialised); returns `recv_from[s]`, the data
+  /// rank s sent to this rank.
+  template <std::ranges::contiguous_range R,
+            typename T = std::ranges::range_value_t<R>>
+  std::vector<std::vector<T>> alltoallv(const std::vector<R>& send_to) {
     static_assert(std::is_trivially_copyable_v<T>);
     SPIO_EXPECTS(static_cast<int>(send_to.size()) == size());
     // Contribution layout: per destination, u64 byte count, then payloads.
     spio::BinaryWriter w;
     for (const auto& v : send_to) {
-      w.write<std::uint64_t>(v.size() * sizeof(T));
+      w.write<std::uint64_t>(std::ranges::size(v) * sizeof(T));
     }
     for (const auto& v : send_to) {
-      w.write_span<T>(std::span<const T>(v.data(), v.size()));
+      w.write_span<T>(std::span<const T>(std::ranges::data(v),
+                                         std::ranges::size(v)));
     }
     std::vector<std::vector<T>> result(static_cast<std::size_t>(size()));
     collective(w.take(), [&](const auto& all) {

@@ -38,7 +38,9 @@ enum class Role : std::uint8_t {
 /// Fills the non-position attributes of records with plausible,
 /// deterministic physics-like values (stress, density, volume, global id,
 /// material type). Fields are filled in schema order with the same draws
-/// per field, so the bytes depend only on the schema and the seed.
+/// per field, so the bytes depend only on the schema and the seed. Every
+/// component of every field is written (schema offsets have no padding),
+/// which is what lets `append_particle` skip zero-filling the record.
 class AttributeFiller {
  public:
   explicit AttributeFiller(const Schema& s) {
@@ -46,11 +48,14 @@ class AttributeFiller {
       const FieldDesc& fd = s.fields()[f];
       const bool f64 = fd.type == FieldType::kF64;
       Role role = f64 ? Role::kNoiseF64 : Role::kNoiseF32;
+      // The single-value roles write one component; a multi-component
+      // field of the same name gets noise in every component instead.
+      const bool scalar = fd.components == 1;
       if (fd.name == "stress") role = Role::kStress;
-      if (fd.name == "density") role = Role::kDensity;
-      if (fd.name == "volume") role = Role::kVolume;
-      if (fd.name == "id") role = Role::kId;
-      if (fd.name == "type" && !f64) role = Role::kType;
+      if (fd.name == "density" && scalar) role = Role::kDensity;
+      if (fd.name == "volume" && scalar) role = Role::kVolume;
+      if (fd.name == "id" && scalar) role = Role::kId;
+      if (fd.name == "type" && !f64 && scalar) role = Role::kType;
       // The named f64 roles only make sense on f64 fields.
       SPIO_EXPECTS(f64 || role == Role::kType || role == Role::kNoiseF32);
       fields_.push_back({role, s.offset(f), fd.components});
@@ -108,7 +113,7 @@ class AttributeFiller {
 
 void append_particle(ParticleBuffer& buf, const AttributeFiller& filler,
                      const Vec3d& pos, std::uint64_t id, Xoshiro256& rng) {
-  std::byte* rec = buf.append_uninitialized().data();
+  std::byte* rec = buf.append_for_overwrite(1).data();
   std::memcpy(rec, &pos, sizeof(Vec3d));  // position is field 0
   filler.fill(rec, id, rng);
 }

@@ -1,19 +1,58 @@
 #include "workload/particle_buffer.hpp"
 
+#include <utility>
+
 namespace spio {
+
+ParticleBuffer::Bytes::Bytes(const Bytes& other) {
+  reserve(other.size_);
+  size_ = other.size_;
+  if (size_ != 0) std::memcpy(p_.get(), other.p_.get(), size_);
+}
+
+ParticleBuffer::Bytes& ParticleBuffer::Bytes::operator=(const Bytes& other) {
+  if (this != &other) {
+    size_ = 0;  // nothing to carry over if reserve reallocates
+    reserve(other.size_);
+    size_ = other.size_;
+    if (size_ != 0) std::memcpy(p_.get(), other.p_.get(), size_);
+  }
+  return *this;
+}
+
+ParticleBuffer::Bytes::Bytes(Bytes&& other) noexcept
+    : p_(std::move(other.p_)),
+      size_(std::exchange(other.size_, 0)),
+      cap_(std::exchange(other.cap_, 0)) {}
+
+ParticleBuffer::Bytes& ParticleBuffer::Bytes::operator=(
+    Bytes&& other) noexcept {
+  p_ = std::move(other.p_);
+  size_ = std::exchange(other.size_, 0);
+  cap_ = std::exchange(other.cap_, 0);
+  return *this;
+}
+
+void ParticleBuffer::Bytes::reallocate(std::size_t capacity) {
+  std::unique_ptr<std::byte[]> p;
+  if (capacity != 0) p = std::make_unique_for_overwrite<std::byte[]>(capacity);
+  if (size_ != 0) std::memcpy(p.get(), p_.get(), size_);
+  p_ = std::move(p);
+  cap_ = capacity;
+}
 
 ParticleBuffer::ParticleBuffer(Schema schema)
     : schema_(std::move(schema)), record_size_(schema_.record_size()) {}
 
 std::span<std::byte> ParticleBuffer::append_uninitialized(std::size_t count) {
-  const std::size_t bytes = count * record_size_;
-  data_.resize(data_.size() + bytes, std::byte{0});
-  return {data_.data() + data_.size() - bytes, bytes};
+  const std::span<std::byte> recs = append_for_overwrite(count);
+  if (!recs.empty()) std::memset(recs.data(), 0, recs.size());
+  return recs;
 }
 
 void ParticleBuffer::append_record(std::span<const std::byte> record) {
   SPIO_EXPECTS(record.size() == record_size_);
-  data_.insert(data_.end(), record.begin(), record.end());
+  copy_in(record.data(), record.size());
 }
 
 void ParticleBuffer::append_from(const ParticleBuffer& other, std::size_t i) {
@@ -26,7 +65,7 @@ void ParticleBuffer::append_bytes(std::span<const std::byte> bytes) {
              "particle payload of " << bytes.size()
                                     << " bytes is not a multiple of the "
                                     << record_size_ << "-byte record");
-  data_.insert(data_.end(), bytes.begin(), bytes.end());
+  copy_in(bytes.data(), bytes.size());
 }
 
 std::span<const std::byte> ParticleBuffer::record(std::size_t i) const {
@@ -37,20 +76,6 @@ std::span<const std::byte> ParticleBuffer::record(std::size_t i) const {
 std::span<std::byte> ParticleBuffer::record(std::size_t i) {
   SPIO_EXPECTS(i < size());
   return {data_.data() + i * record_size_, record_size_};
-}
-
-std::vector<std::byte> ParticleBuffer::take_bytes() {
-  std::vector<std::byte> out = std::move(data_);
-  data_.clear();
-  return out;
-}
-
-void ParticleBuffer::adopt_bytes(std::vector<std::byte> bytes) {
-  SPIO_CHECK(bytes.size() % record_size_ == 0, FormatError,
-             "adopted payload of " << bytes.size()
-                                   << " bytes is not a multiple of the "
-                                   << record_size_ << "-byte record");
-  data_ = std::move(bytes);
 }
 
 const std::byte* ParticleBuffer::field_ptr(std::size_t i, std::size_t field,
@@ -106,7 +131,7 @@ void ParticleBuffer::set_f32(std::size_t i, std::size_t field,
 }
 
 void ParticleBuffer::truncate(std::size_t count) {
-  if (count < size()) data_.resize(count * record_size_);
+  if (count < size()) data_.truncate(count * record_size_);
 }
 
 Box3 ParticleBuffer::bounds() const {

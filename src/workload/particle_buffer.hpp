@@ -5,10 +5,11 @@
 /// This is the unit of exchange throughout the library — patches hand one
 /// to the writer, aggregators assemble one, readers return one.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "util/box.hpp"
 #include "util/error.hpp"
@@ -23,7 +24,7 @@ class ParticleBuffer {
 
   const Schema& schema() const { return schema_; }
   std::size_t size() const { return data_.size() / record_size_; }
-  bool empty() const { return data_.empty(); }
+  bool empty() const { return data_.size() == 0; }
   std::size_t record_size() const { return record_size_; }
   std::size_t byte_size() const { return data_.size(); }
 
@@ -32,11 +33,23 @@ class ParticleBuffer {
   }
   /// Return over-reserved capacity to the allocator.
   void shrink_to_fit() { data_.shrink_to_fit(); }
-  void clear() { data_.clear(); }
+  /// Drop every record; the capacity stays.
+  void clear() { data_.truncate(0); }
 
   /// Append `count` zero-initialized records and return a writable view
-  /// of them.
+  /// of them — for callers that set some fields and rely on the rest
+  /// reading zero.
   std::span<std::byte> append_uninitialized(std::size_t count = 1);
+
+  /// Append `count` records whose bytes are indeterminate (whatever the
+  /// storage held) and return a writable view of them. The caller must
+  /// write every byte of the view before the buffer is read, copied or
+  /// sent: this is how a result is grown when its bytes are about to be
+  /// copied in anyway, so each byte is written once.
+  std::span<std::byte> append_for_overwrite(std::size_t count) {
+    const std::size_t n = count * record_size_;
+    return {data_.grow(n), n};
+  }
 
   /// Append a full record copied from raw bytes (size must equal
   /// record_size()).
@@ -54,7 +67,7 @@ class ParticleBuffer {
   /// header-inline: a short matching run must cost one `memcpy`, not an
   /// out-of-line call plus a divisibility check.
   void append_records(const std::byte* p, std::size_t count) {
-    data_.insert(data_.end(), p, p + count * record_size_);
+    copy_in(p, count * record_size_);
   }
 
   /// Read-only view of record `i`.
@@ -63,11 +76,9 @@ class ParticleBuffer {
   std::span<std::byte> record(std::size_t i);
 
   /// The whole AoS payload, for sends and file writes.
-  std::span<const std::byte> bytes() const { return data_; }
-  /// Move the payload out (leaves the buffer empty).
-  std::vector<std::byte> take_bytes();
-  /// Replace the payload (size must be a multiple of record_size()).
-  void adopt_bytes(std::vector<std::byte> bytes);
+  std::span<const std::byte> bytes() const {
+    return {data_.data(), data_.size()};
+  }
 
   // ---- typed field access ----
 
@@ -88,6 +99,55 @@ class ParticleBuffer {
   Box3 bounds() const;
 
  private:
+  /// Owned bytes whose growth does not initialise. Growth, copies and
+  /// appends are one `memcpy` each. A `std::vector` with a
+  /// default-initialising allocator would not do: libstdc++ keeps its
+  /// `memmove` paths for `std::allocator` and copies element by element
+  /// for any allocator that defines `construct`.
+  class Bytes {
+   public:
+    Bytes() = default;
+    Bytes(const Bytes& other);
+    Bytes& operator=(const Bytes& other);
+    Bytes(Bytes&& other) noexcept;
+    Bytes& operator=(Bytes&& other) noexcept;
+    ~Bytes() = default;
+
+    std::byte* data() { return p_.get(); }
+    const std::byte* data() const { return p_.get(); }
+    std::size_t size() const { return size_; }
+
+    void reserve(std::size_t bytes) {
+      if (bytes > cap_) reallocate(bytes);
+    }
+    void shrink_to_fit() {
+      if (cap_ > size_) reallocate(size_);
+    }
+    /// Keep the first `bytes` (which must not exceed size()).
+    void truncate(std::size_t bytes) { size_ = bytes; }
+    /// Grow by `bytes` indeterminate bytes (geometrically, so appending
+    /// one record at a time stays amortised O(1)); returns the first.
+    std::byte* grow(std::size_t bytes) {
+      if (bytes > cap_ - size_) reallocate(std::max(size_ + bytes, 2 * cap_));
+      std::byte* at = p_.get() + size_;
+      size_ += bytes;
+      return at;
+    }
+
+   private:
+    void reallocate(std::size_t capacity);
+
+    std::unique_ptr<std::byte[]> p_;
+    std::size_t size_ = 0;
+    std::size_t cap_ = 0;
+  };
+
+  /// Append `n` bytes from `p`; `memcpy` forbids null pointers even for
+  /// an empty copy, and an empty buffer has no storage.
+  void copy_in(const std::byte* p, std::size_t n) {
+    if (n != 0) std::memcpy(data_.grow(n), p, n);
+  }
+
   const std::byte* field_ptr(std::size_t i, std::size_t field,
                              std::size_t comp, std::size_t elem_size) const;
   std::byte* field_ptr(std::size_t i, std::size_t field, std::size_t comp,
@@ -95,7 +155,7 @@ class ParticleBuffer {
 
   Schema schema_;
   std::size_t record_size_;
-  std::vector<std::byte> data_;
+  Bytes data_;
 };
 
 }  // namespace spio

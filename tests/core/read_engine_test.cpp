@@ -41,6 +41,25 @@
 #include "workload/generators.hpp"
 
 namespace spio {
+
+/// `query_box` and `query` as they run, but appending to a caller's
+/// buffer instead of a fresh one.
+struct DatasetTestPeer {
+  static void query_box_into(const Dataset& ds, const Box3& box,
+                             ParticleBuffer& out) {
+    ds.filter_files_into(ds.plan_query(box, {}).files,
+                         {box, {}, /*whole_file_fast_path=*/true}, out,
+                         nullptr);
+  }
+  static void query_into(const Dataset& ds, const Box3& box,
+                         std::span<const RangeFilter> filters,
+                         ParticleBuffer& out) {
+    ds.filter_files_into(ds.plan_query(box, filters).files,
+                         {box, filters, /*whole_file_fast_path=*/false}, out,
+                         nullptr);
+  }
+};
+
 namespace {
 
 /// Scoped engine configuration: applies a pool size / cache budget and
@@ -418,7 +437,9 @@ TEST_F(ReadEngineQueries, DistributedReadIsByteIdenticalAcrossConfigs) {
     std::vector<std::vector<std::byte>> per_rank(4);
     simmpi::run(4, [&](simmpi::Comm& comm) {
       ParticleBuffer mine = distributed_read(comm, decomp, dir_->path());
-      per_rank[static_cast<std::size_t>(comm.rank())] = mine.take_bytes();
+      const std::span<const std::byte> got = mine.bytes();
+      per_rank[static_cast<std::size_t>(comm.rank())].assign(got.begin(),
+                                                             got.end());
     });
     return per_rank;
   };
@@ -715,6 +736,74 @@ TEST_F(QueryPipeline, EdgePlansAreByteIdenticalAcrossPoolSimdAndCache) {
                 << "stream_box " << where();
           }
         }
+      }
+    }
+  }
+}
+
+// A query grows its result without initialising it, so the copy-out must
+// write every byte it appends. Each query appends to a buffer that holds
+// a few records and whose spare capacity is poisoned: a byte the
+// copy-out missed would show as 0xA5 against the serial oracle.
+TEST_F(QueryPipeline, QueriesWriteEveryByteTheyAppend) {
+  const Dataset ds = Dataset::open(big_->path());
+  const DatasetMetadata& meta = ds.metadata();
+  const std::vector<Dataset::RangeFilter> filters{
+      {meta.schema.index_of("density"), 0, 990.0, 1050.0}};
+  const Box3 edge({0.2, 0.1, 0.3}, {0.9, 0.7, 0.8});
+  struct Case {
+    const char* name;
+    Box3 box;
+  };
+  const Case cases[] = {
+      {"whole files", Box3({-1, -1, -1}, {2, 2, 2})},
+      {"edge files", edge},
+      {"empty plan", Box3({5, 5, 5}, {6, 6, 6})},
+  };
+  ASSERT_GT(ds.plan_query(edge, {}).files.size(), 1u);
+
+  constexpr std::size_t kHeld = 5;
+  ParticleBuffer held(meta.schema);
+  const std::span<std::byte> held_bytes = held.append_for_overwrite(kHeld);
+  for (std::size_t i = 0; i < held_bytes.size(); ++i)
+    held_bytes[i] = static_cast<std::byte>(i * 7 + 1);
+
+  for (const Case& c : cases) {
+    const ParticleBuffer want_box = reference_query_box(ds, c.box);
+    const ParticleBuffer want_rq = reference_query(ds, c.box, filters);
+    if (&c != &cases[2]) {
+      EXPECT_GT(want_box.size(), 0u) << c.name;
+      EXPECT_GT(want_rq.size(), 0u) << c.name;
+    }
+    for (const int threads : {1, 4}) {
+      for (const bool simd_on : {true, false}) {
+        EngineConfig cfg(threads, std::uint64_t{64} << 20);
+        std::optional<simd::ScopedLevelCap> cap;
+        if (!simd_on) cap.emplace(simd::Level::kScalar);
+        const auto where = [&] {
+          return std::string(c.name) + " threads=" + std::to_string(threads) +
+                 " simd=" + std::to_string(simd_on);
+        };
+        const auto run = [&](const ParticleBuffer& want, const auto& query) {
+          ParticleBuffer out = held;
+          const std::span<std::byte> spare =
+              out.append_for_overwrite(want.size() + 64);
+          std::memset(spare.data(), 0xA5, spare.size());
+          out.truncate(kHeld);
+          query(out);
+          ASSERT_EQ(out.size(), kHeld + want.size()) << where();
+          const std::span<const std::byte> got = out.bytes();
+          EXPECT_TRUE(same_bytes(got.first(held.byte_size()), held.bytes()))
+              << "held records changed: " << where();
+          EXPECT_TRUE(same_bytes(got.subspan(held.byte_size()), want.bytes()))
+              << "result differs from the oracle: " << where();
+        };
+        run(want_box, [&](ParticleBuffer& out) {
+          DatasetTestPeer::query_box_into(ds, c.box, out);
+        });
+        run(want_rq, [&](ParticleBuffer& out) {
+          DatasetTestPeer::query_into(ds, c.box, filters, out);
+        });
       }
     }
   }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "util/checksum.hpp"
 
@@ -253,6 +256,53 @@ TEST(GeneratorGolden, Injection) {
             "b32b30cab137b93f");
   EXPECT_EQ(digest(injection(odd_schema(), domain, domain, 0.7, 3000, 14)),
             "5803d8df57d12b75");
+}
+
+// Generators append records without zero-filling them, so every byte of
+// a record must be written. Each buffer is generated right after a
+// buffer of the same capacity was filled with `poison` and freed: the
+// allocator tends to hand that block back to the generator's reserve, so
+// a byte left unwritten would read `poison` and tell the two runs apart.
+ParticleBuffer generate_after(unsigned char poison, const Schema& schema,
+                              std::size_t count,
+                              const std::function<ParticleBuffer()>& gen) {
+  {
+    ParticleBuffer used(schema);
+    const std::span<std::byte> all = used.append_for_overwrite(count);
+    std::memset(all.data(), poison, all.size());
+  }
+  return gen();
+}
+
+TEST(GeneratorGolden, EveryRecordByteIsWritten) {
+  // The odd schema, the Uintah one, and one whose single-value names
+  // (density, type) have several components.
+  const std::vector<Schema> schemas{
+      Schema::uintah(), odd_schema(),
+      Schema({{"position", FieldType::kF64, 3},
+              {"density", FieldType::kF64, 2},
+              {"type", FieldType::kF32, 3},
+              {"id", FieldType::kF64, 1}})};
+  const Box3 domain({0, 0, 0}, {10, 10, 10});
+  constexpr std::size_t kCount = 400;
+  for (const Schema& s : schemas) {
+    const std::function<ParticleBuffer()> gens[] = {
+        [&] { return uniform(s, kPatch, kCount, 11, 7); },
+        [&] { return gaussian_clusters(s, kPatch, kCount, 5, 0.05, 12, 3); },
+        [&] { return plummer_sphere(s, kPatch, kCount, 0.1, 13); },
+        [&] { return injection(s, domain, domain, 0.7, kCount, 14); },
+    };
+    for (const auto& gen : gens) {
+      const ParticleBuffer zeros = generate_after(0x00, s, kCount, gen);
+      const ParticleBuffer ones = generate_after(0xFF, s, kCount, gen);
+      ASSERT_GT(zeros.size(), 0u);
+      ASSERT_EQ(zeros.byte_size(), ones.byte_size());
+      EXPECT_EQ(0, std::memcmp(zeros.bytes().data(), ones.bytes().data(),
+                               zeros.byte_size()))
+          << "schema of " << s.record_size() << "-byte records, generator "
+          << (&gen - gens);
+    }
+  }
 }
 
 }  // namespace

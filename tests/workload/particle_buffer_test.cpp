@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 namespace spio {
 namespace {
 
@@ -71,21 +74,63 @@ TEST(ParticleBuffer, AppendBytesRequiresWholeRecords) {
   EXPECT_EQ(buf.size(), 2u);
 }
 
-TEST(ParticleBuffer, TakeAndAdoptBytesRoundTrip) {
-  ParticleBuffer a(Schema::position_only());
-  a.append_uninitialized();
-  a.set_position(0, {1, 2, 3});
-  auto bytes = a.take_bytes();
-  EXPECT_TRUE(a.empty());
-  ParticleBuffer b(Schema::position_only());
-  b.adopt_bytes(std::move(bytes));
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_EQ(b.position(0), Vec3d(1, 2, 3));
+TEST(ParticleBuffer, AppendUninitializedZeroFillsAfterPoisonedClear) {
+  ParticleBuffer buf(Schema::uintah());
+  const std::span<std::byte> poisoned = buf.append_for_overwrite(8);
+  std::memset(poisoned.data(), 0xA5, poisoned.size());
+  buf.clear();  // keeps the poisoned storage for the next append
+  const std::span<std::byte> recs = buf.append_uninitialized(8);
+  ASSERT_EQ(recs.size(), 8 * buf.record_size());
+  for (const std::byte b : recs) ASSERT_EQ(b, std::byte{0});
 }
 
-TEST(ParticleBuffer, AdoptRejectsPartialRecords) {
-  ParticleBuffer b(Schema::position_only());
-  EXPECT_THROW(b.adopt_bytes(std::vector<std::byte>(10)), FormatError);
+TEST(ParticleBuffer, AppendForOverwriteGrowsSizeByCount) {
+  ParticleBuffer buf(Schema::position_only());
+  buf.append_uninitialized();
+  buf.set_position(0, {1, 2, 3});
+  const std::span<std::byte> recs = buf.append_for_overwrite(5);
+  EXPECT_EQ(buf.size(), 6u);
+  ASSERT_EQ(recs.size(), 5 * buf.record_size());
+  EXPECT_EQ(recs.data(), buf.bytes().data() + buf.record_size());
+  EXPECT_TRUE(buf.append_for_overwrite(0).empty());
+  EXPECT_EQ(buf.size(), 6u);
+  EXPECT_EQ(buf.position(0), Vec3d(1, 2, 3));  // growth keeps the records
+}
+
+TEST(ParticleBuffer, CopiesAreDeepAndMovesLeaveTheSourceEmpty) {
+  ParticleBuffer a(Schema::position_only());
+  for (std::size_t i = 0; i < 100; ++i) {  // several geometric growths
+    a.append_uninitialized();
+    a.set_position(i, Vec3d(static_cast<double>(i), 0, 0));
+  }
+  ParticleBuffer b = a;
+  b.set_position(0, {-1, -1, -1});
+  EXPECT_EQ(a.position(0), Vec3d(0, 0, 0));
+  ASSERT_EQ(b.size(), 100u);
+  EXPECT_EQ(b.position(99), Vec3d(99, 0, 0));
+
+  ParticleBuffer small(Schema::position_only());
+  small.append_uninitialized();
+  small = a;  // assignment that must grow
+  ASSERT_EQ(small.size(), 100u);
+  EXPECT_EQ(0, std::memcmp(small.bytes().data(), a.bytes().data(),
+                           a.byte_size()));
+  ParticleBuffer one(Schema::position_only());
+  one.append_uninitialized();
+  one.set_position(0, {4, 5, 6});
+  small = one;  // and one that reuses the storage it has
+  ASSERT_EQ(small.size(), 1u);
+  EXPECT_EQ(small.position(0), Vec3d(4, 5, 6));
+
+  ParticleBuffer c = std::move(b);
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.position(0), Vec3d(-1, -1, -1));
+  b = std::move(c);
+  EXPECT_TRUE(c.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.size(), 100u);
+  b.append_bytes(a.bytes());  // a moved-to buffer grows as usual
+  EXPECT_EQ(b.size(), 200u);
+  EXPECT_EQ(b.position(150), Vec3d(50, 0, 0));
 }
 
 TEST(ParticleBuffer, BoundsOfEmptyIsEmpty) {
